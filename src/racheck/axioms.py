@@ -462,25 +462,32 @@ def verify(
     rf: ReadsFrom,
     mo: ModificationOrder | None,
     m: MemoryModel,
+    report: dict[Axiom, list[tuple[EventId, str]] | None] | None = None,
 ) -> Verdict:
     """Run the model's axioms against given witnesses.
 
     Returns a Consistent verdict echoing the witnesses, or the first
-    violation in the model's check order.
+    violation in the model's check order.  Given a `report`, every axiom
+    is checked once and its certificate (None when it holds) is stored
+    under it; the verdict is still the first violation.
     """
     rf.validate(g)
-    axioms = axioms_for(m)
     if model_needs_mo(m):
         if mo is None:
             raise MissingMo(f"model {m.value} needs a modification order")
         mo.validate(g)
         if not mo.covers(g):
             raise MissingMo("modification order does not cover every written location")
-    for ax in axioms:
-        cert = check_axiom(g, rf, mo if ax in MO_AXIOMS else mo, ax)
-        if cert is not None:
-            return Verdict.inconsistent(ax.value, cert)
-    return Verdict.consistent(rf, mo)
+    verdict = None
+    for ax in axioms_for(m):
+        cert = check_axiom(g, rf, mo, ax)
+        if report is not None:
+            report[ax] = cert
+        if cert is not None and verdict is None:
+            verdict = Verdict.inconsistent(ax.value, cert)
+            if report is None:
+                break
+    return verdict if verdict is not None else Verdict.consistent(rf, mo)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .axioms import MissingMo, axioms_for, check_axiom, verify
+from .axioms import MissingMo, verify
 from .harness import FuzzParams, differential_run
 from .model import InvalidRf, MemoryModel, ModelError, ReadsFrom, Verdict, max_writers
 from .oracle import DEFAULT_LIMITS, BudgetExceeded, all_consistent_rfs, oracle_consistent
@@ -110,9 +110,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("input carries no rf annotations", file=sys.stderr)
             return EXIT_USAGE
         rf = ReadsFrom({})  # a graph without reads has the empty rf
-    verdict = verify(doc.graph, rf, doc.mo, model)
-    for ax in axioms_for(model):
-        cert = check_axiom(doc.graph, rf, doc.mo, ax)
+    report: dict = {}
+    verdict = verify(doc.graph, rf, doc.mo, model, report)
+    for ax, cert in report.items():
         print(f"{ax.value}: {'FAIL' if cert else 'pass'}")
     _print_verdict(verdict)
     return EXIT_CONSISTENT if verdict.is_consistent else EXIT_INCONSISTENT
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MODEL_CHOICES)
     p.add_argument("--input", required=True, help="trace file or - for stdin")
     p.add_argument("--witness", help="write the consistent rf/mo as a trace")
-    p.add_argument("--trace", help="write the solver's repair trace")
+    p.add_argument("--trace", help="write the reads the solver raised, one per line")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="check given rf/mo annotations")

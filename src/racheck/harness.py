@@ -17,6 +17,7 @@ from .model import (
     MemoryModel,
     PartialExecutionGraph,
     ReadsFrom,
+    Verdict,
     build_graph,
     max_writers,
     rf_leq,
@@ -169,9 +170,11 @@ def differential_run(
             for m in models:
                 oracle_verdicts[m] = oracle_consistent(g, m, limits).is_consistent
 
+            solver_verdicts: dict[MemoryModel, Verdict] = {}
             if single_writer:
                 for m in models:
                     verdict, _ = solve(g, m)
+                    solver_verdicts[m] = verdict
                     if verdict.is_consistent != oracle_verdicts[m]:
                         fail(
                             f"solver/oracle disagree under {m.value}: "
@@ -190,7 +193,7 @@ def differential_run(
                         fail(f"hierarchy broken: {lower.value} consistent, {higher.value} not")
 
             if single_writer and MemoryModel.WRA in models and oracle_verdicts[MemoryModel.WRA]:
-                verdict, _ = solve(g, MemoryModel.WRA)
+                verdict = solver_verdicts[MemoryModel.WRA]
                 if verdict.is_consistent:
                     cm = verify(g, verdict.rf, verdict.mo, MemoryModel.CM)
                     if not cm.is_consistent:

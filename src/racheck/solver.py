@@ -2,19 +2,36 @@
 
 When every location is written by at most one thread, the modification
 order is forced to agree with program order and SRA/RA/WRA checking all
-collapse to WRA: synthesize the least reads-from relation satisfying
-weak-read-coherence, then test porf-acyclicity.  The same loop with the
-relaxed coherence pattern decides the relaxed models.
+collapse to WRA: find the least reads-from relation satisfying
+weak-read-coherence, then test porf-acyclicity.
 
-The loop starts from the rf mapping every read to the po-earliest
-matching write and repairs one violating read per step, remapping it to
-the po-earliest matching write at or after the violation's blocking
-write.  Each repair is a strict step up in the pointwise po order on rf,
-so the final rf is below every coherent rf.
+`solve` does both in one topological pass over po and rf.  Threads
+advance from a worklist in sorted-id order, each keeping a vector clock
+over threads (Fidge, Mattern); every write stores its thread's clock.  A
+read of x looks up in its po-predecessor's clock how far x's writer
+thread happens-before it.  The last x-write inside that prefix is a
+lower bound on the read's write in every coherent rf, so the read takes
+the earliest value-matching write at or above it.  In a single-writer
+graph raising a read only grows hb, so the pass reaches the pointwise
+least coherent rf.  A read whose write is not processed yet waits for
+it; when every unfinished thread waits, the wait chain is a po/rf cycle.
+
+The relaxed coherence pattern needs no hb: one po-order prefix pass per
+thread finds the least relaxed-coherent rf, and the acyclic variant then
+runs the topological pass with that rf fixed as its causality test.
+
+The step API (`initialize_rf`, `next_violation`, `update_rf`) exposes the
+repair loop the pass replaces: start from the po-earliest matching
+writes and repeatedly raise the first violating read.  Each repair is a
+strict step up in the pointwise po order on rf, so the loop's fixpoint
+is below every coherent rf; the tests use it as the reference for
+`solve`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 
 from .axioms import Axiom, check_axiom
@@ -73,6 +90,13 @@ class SolverIteration:
 
 @dataclass
 class SolverTrace:
+    """What `solve` did to rf: one iteration per read it raised above its
+    initial binding (the violation's `write`); the blocker is the lower
+    bound that forced the raise, and `update_rf` replays each step.
+    `final_rf` is the rf the solver ended on (None only when some read has
+    no matching write at all); a read stuck on a cycle holds the write it
+    waits for, so certificates replay against it."""
+
     iterations: list[SolverIteration] = field(default_factory=list)
     final_rf: ReadsFrom | None = None
 
@@ -105,37 +129,45 @@ class _State:
         self.g = g
         self.events: list[Event] = []
         self.index: dict[EventId, int] = {}
-        for tid in sorted(g.thread_ids):
+        # events laid out thread by thread in sorted thread-id order
+        self.thread_of: list[int] = []
+        self.thread_span: list[tuple[int, int]] = []
+        for t, tid in enumerate(sorted(g.thread_ids)):
+            start = len(self.events)
             for ev in g.events_of[tid]:
                 self.index[ev.id] = len(self.events)
                 self.events.append(ev)
+                self.thread_of.append(t)
+            self.thread_span.append((start, len(self.events)))
         n = len(self.events)
         self.po_next = [-1] * n
-        for tid in g.thread_ids:
-            evs = g.events_of[tid]
-            for a, b in zip(evs, evs[1:]):
-                self.po_next[self.index[a.id]] = self.index[b.id]
+        for start, end in self.thread_span:
+            for e in range(start, end - 1):
+                self.po_next[e] = e + 1
         # writes per location in writer-thread program order
         self.var_writes: dict[str, list[int]] = {
             var: [self.index[w.id] for w in writes]
             for var, writes in g.writes_by_var.items()
         }
         self.write_pos: dict[int, int] = {}
-        for writes in self.var_writes.values():
+        # (location, value) -> positions of the matching writes, ascending
+        self.match_pos: dict[tuple[str, int], list[int]] = {}
+        for var, writes in self.var_writes.items():
             for pos, w in enumerate(writes):
                 self.write_pos[w] = pos
+                self.match_pos.setdefault((var, self.events[w].val), []).append(pos)
         self.reads: list[int] = [self.index[r.id] for r in g.reads]
         self.rf: dict[int, int] = {}
         self.rf_pos: dict[int, int] = {}
-        self.readers: dict[int, list[int]] = {}
+        self.readers: dict[int, set[int]] = {}
 
     def assign(self, r: int, w: int) -> None:
         old = self.rf.get(r)
         if old is not None:
-            self.readers[old].remove(r)
+            self.readers[old].discard(r)
         self.rf[r] = w
         self.rf_pos[r] = self.write_pos[w]
-        self.readers.setdefault(w, []).append(r)
+        self.readers.setdefault(w, set()).add(r)
 
     def forward_set(self, start: int) -> bytearray:
         """Events reachable from start over po and current rf edges.
@@ -193,8 +225,8 @@ class _State:
         )
 
 
-def _init_state(g: PartialExecutionGraph, allow_future: bool = False) -> _State:
-    """Bind every read to its po-earliest matching write.
+def _earliest_match(st: _State, r: int, start: int, allow_future: bool) -> int:
+    """The po-earliest write at position >= start that read r can take, or -1.
 
     Under the porf-mandating models a read in the writer thread may only
     take writes strictly above itself: anything below closes a po/rf
@@ -202,28 +234,26 @@ def _init_state(g: PartialExecutionGraph, allow_future: bool = False) -> _State:
     a binding can never be part of an acyclic witness.  The pure relaxed
     model has no such axiom, so there the whole thread qualifies.
     """
+    ev = st.events[r]
+    positions = st.match_pos.get((ev.var, ev.val), ())
+    j = bisect_left(positions, start)
+    if j == len(positions):
+        return -1
+    w = st.var_writes[ev.var][positions[j]]
+    wid = st.events[w].id
+    if not allow_future and wid.thread == ev.id.thread and wid.index >= ev.id.index:
+        return -1
+    return w
+
+
+def _init_state(g: PartialExecutionGraph, allow_future: bool = False) -> _State:
+    """Bind every read to its po-earliest matching write."""
     st = _State(g)
     for r in st.reads:
-        ev = st.events[r]
-        writes = st.var_writes.get(ev.var)
-        if not writes:
-            raise NoMatchingWrite(ev.id)
-        chosen = -1
-        for w in writes:
-            wev = st.events[w]
-            if (
-                not allow_future
-                and wev.id.thread == ev.id.thread
-                and wev.id.index >= ev.id.index
-            ):
-                break  # rest of the thread sits at or below the read
-            if wev.val != ev.val:
-                continue
-            chosen = w
-            break
-        if chosen < 0:
-            raise NoMatchingWrite(ev.id)
-        st.assign(r, chosen)
+        w = _earliest_match(st, r, 0, allow_future)
+        if w < 0:
+            raise NoMatchingWrite(st.events[r].id)
+        st.assign(r, w)
     return st
 
 
@@ -310,27 +340,12 @@ def _scan_relaxed(st: _State) -> Violation | None:
 
 
 def _apply_update(st: _State, violation: Violation, allow_future: bool = False) -> EventId:
-    rev = st.g.event(violation.read)
     r = st.index[violation.read]
-    writes = st.var_writes[rev.var]
-    start = st.write_pos[st.index[violation.blocker]]
-    chosen = -1
-    for j in range(start, len(writes)):
-        wev = st.events[writes[j]]
-        if (
-            not allow_future
-            and wev.id.thread == rev.id.thread
-            and wev.id.index >= rev.id.index
-        ):
-            break
-        if wev.val != rev.val:
-            continue
-        chosen = writes[j]
-        break
-    if chosen < 0:
-        raise NoLaterWrite(rev.id)
-    st.assign(r, chosen)
-    return st.events[chosen].id
+    w = _earliest_match(st, r, st.write_pos[st.index[violation.blocker]], allow_future)
+    if w < 0:
+        raise NoLaterWrite(violation.read)
+    st.assign(r, w)
+    return st.events[w].id
 
 
 def _state_from_rf(g: PartialExecutionGraph, rf: ReadsFrom) -> _State:
@@ -367,52 +382,7 @@ def update_rf(
     return st.rf_relation()
 
 
-def _porf_cycle_fast(st: _State) -> list[tuple[EventId, str]] | None:
-    """Cycle over po and current rf edges, on the integer encoding."""
-    n = len(st.events)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * n
-
-    def successors(e: int) -> list[tuple[int, str]]:
-        out = []
-        if st.po_next[e] >= 0:
-            out.append((st.po_next[e], PO_EDGE))
-        if st.events[e].is_write:
-            out.extend((r, RF_EDGE) for r in sorted(st.readers.get(e, ())))
-        return out
-
-    for root in range(n):
-        if color[root] != WHITE:
-            continue
-        path = [root]
-        labels: list[str] = []
-        color[root] = GREY
-        iters = [iter(successors(root))]
-        while iters:
-            try:
-                nxt, label = next(iters[-1])
-            except StopIteration:
-                iters.pop()
-                color[path.pop()] = BLACK
-                if labels:
-                    labels.pop()
-                continue
-            if color[nxt] == GREY:
-                pos = path.index(nxt)
-                cycle = [
-                    (st.events[path[i]].id, labels[i]) for i in range(pos, len(path) - 1)
-                ]
-                cycle.append((st.events[path[-1]].id, label))
-                return normalize_cycle(cycle)
-            if color[nxt] == WHITE:
-                color[nxt] = GREY
-                path.append(nxt)
-                labels.append(label)
-                iters.append(iter(successors(nxt)))
-    return None
-
-
-def _blocked_certificate(st: _State, v: Violation) -> list[tuple[EventId, str]]:
+def _blocked_certificate(v: Violation) -> list[tuple[EventId, str]]:
     steps = [(v.read, RF_INV_EDGE), (v.write, PO_EDGE)]
     if v.via_read is not None:
         steps += [(v.blocker, RF_EDGE), (v.via_read, PO_EDGE)]
@@ -423,6 +393,142 @@ def _blocked_certificate(st: _State, v: Violation) -> list[tuple[EventId, str]]:
     return steps
 
 
+def _raise_read(
+    st: _State,
+    r: int,
+    k0: int,
+    via: int,
+    trace: SolverTrace,
+    relaxed: bool,
+) -> Verdict | None:
+    """Raise read r to the earliest matching write at position >= k0, the
+    lower bound exposed by write k0 (through read `via`, or -1 for hb or
+    po).  Returns the coherence verdict when no such write exists."""
+    if k0 <= st.rf_pos[r]:
+        return None
+    ev = st.events[r]
+    violation = Violation(
+        read=ev.id,
+        write=st.events[st.rf[r]].id,
+        blocker=st.events[st.var_writes[ev.var][k0]].id,
+        via_read=st.events[via].id if via >= 0 else None,
+    )
+    w = _earliest_match(st, r, k0, allow_future=relaxed)
+    if w < 0:
+        axiom = Axiom.RELAXED_READ_COHERENCE if relaxed else Axiom.WEAK_READ_COHERENCE
+        return Verdict.inconsistent(axiom.value, _blocked_certificate(violation))
+    st.assign(r, w)
+    trace.iterations.append(SolverIteration(violation, st.events[w].id))
+    return None
+
+
+def _relaxed_pass(st: _State, trace: SolverTrace) -> Verdict | None:
+    """Least relaxed-read-coherent rf, in one po-order pass per thread.
+
+    With mo forced to po, a read must take a write at or above every
+    position of its location that a po-earlier event of its own thread
+    exposes: a write of the thread itself, or the write an earlier read
+    took.  Threads do not interact, so sorted-id order repeats the step
+    loop's choice of first violation exactly.
+    """
+    for start, end in st.thread_span:
+        best: dict[str, tuple[int, int]] = {}  # location -> (position, exposing read or -1)
+        for e in range(start, end):
+            ev = st.events[e]
+            if ev.is_read:
+                k0, via = best.get(ev.var, (-1, -1))
+                failure = _raise_read(st, e, k0, via, trace, relaxed=True)
+                if failure is not None:
+                    return failure
+                exposed = (st.rf_pos[e], e)
+            else:
+                exposed = (st.write_pos[e], -1)
+            if exposed[0] > best.get(ev.var, (-1, -1))[0]:
+                best[ev.var] = exposed
+    return None
+
+
+def _causal_pass(st: _State, trace: SolverTrace | None) -> Verdict | None:
+    """One topological pass over po and rf; None when it completes.
+
+    With a trace (the weak family) each read is first raised to its least
+    coherent write; without one rf stays as bound and the pass only tests
+    porf-acyclicity.  `clocks[t][u]` counts the events of thread u that
+    happen-before thread t's next event; a thread's entry for itself is
+    never read.  Writes share their thread's clock list until the thread
+    changes it.
+    """
+    nthreads = len(st.thread_span)
+    cur = [start for start, _ in st.thread_span]
+    clocks = [[0] * nthreads for _ in range(nthreads)]
+    shared = [False] * nthreads
+    write_clock: dict[int, list[int]] = {}
+    waiters: dict[int, list[int]] = {}
+    work = deque(range(nthreads))
+    while work:
+        t = work.popleft()
+        e, end = cur[t], st.thread_span[t][1]
+        clock = clocks[t]
+        while e < end:
+            ev = st.events[e]
+            if ev.is_write:
+                write_clock[e] = clock
+                shared[t] = True
+                work.extend(waiters.pop(e, ()))
+                e += 1
+                continue
+            if trace is not None:
+                writes = st.var_writes[ev.var]
+                u = st.thread_of[writes[0]]
+                before = e if u == t else st.thread_span[u][0] + clock[u]
+                k0 = bisect_left(writes, before) - 1
+                failure = _raise_read(st, e, k0, -1, trace, relaxed=False)
+                if failure is not None:
+                    return failure
+            w = st.rf[e]
+            u = st.thread_of[w]
+            if w >= (e if u == t else cur[u]):
+                waiters.setdefault(w, []).append(t)
+                break
+            seen = w - st.thread_span[u][0] + 1
+            if u != t and clock[u] < seen:
+                if shared[t]:
+                    clock = clocks[t] = list(clock)
+                    shared[t] = False
+                for v, n in enumerate(write_clock[w]):
+                    if n > clock[v]:
+                        clock[v] = n
+                clock[u] = seen
+            e += 1
+        cur[t] = e
+    stuck = [t for t, (_, end) in enumerate(st.thread_span) if cur[t] < end]
+    if not stuck:
+        return None
+    return Verdict.inconsistent(Axiom.PORF_ACYCLICITY.value, _wait_cycle(st, cur, stuck[0]))
+
+
+def _wait_cycle(st: _State, cur: list[int], t: int) -> list[tuple[EventId, str]]:
+    """The po/rf cycle closed by the threads' waits, from stuck thread t.
+
+    A stuck thread waits at a read for a write of a stuck thread (itself,
+    when a relaxed read takes a po-later write) that sits po-after that
+    thread's own stuck read, so following the waits must revisit a thread.
+    """
+    chain: list[int] = []
+    at: dict[int, int] = {}
+    while t not in at:
+        at[t] = len(chain)
+        chain.append(t)
+        t = st.thread_of[st.rf[cur[t]]]
+    chain = chain[at[t]:]
+    steps: list[tuple[EventId, str]] = []
+    for i in reversed(range(len(chain))):
+        waiting, owner = chain[i], chain[(i + 1) % len(chain)]
+        steps.append((st.events[cur[owner]].id, PO_EDGE))
+        steps.append((st.events[st.rf[cur[waiting]]].id, RF_EDGE))
+    return normalize_cycle(steps)
+
+
 def solve(
     g: PartialExecutionGraph,
     m: MemoryModel,
@@ -430,20 +536,16 @@ def solve(
 ) -> tuple[Verdict, SolverTrace]:
     """Decide consistency of a 1-writer graph under any supported model.
 
-    Returns the verdict plus the repair trace.  A Consistent verdict
-    carries the pointwise least coherent rf and the forced mo.  The
-    relaxed models use the relaxed coherence pattern and skip the final
-    porf test unless the acyclic variant is asked for.  `recheck_ob` runs
-    the observed-order check on the witness for the causal-memory model,
-    guarding the theory that it can never fire on 1-writer graphs.
+    Returns the verdict plus the trace of raised reads.  A Consistent
+    verdict carries the pointwise least coherent rf and the forced mo.
+    The relaxed models use the relaxed coherence pattern and skip the
+    causality test unless the acyclic variant is asked for.  `recheck_ob`
+    runs the observed-order check on the witness for the causal-memory
+    model, guarding the theory that it can never fire on 1-writer graphs.
     """
     _require_one_writer(g)
     base = m.canonical
     relaxed = base in (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC)
-    check_porf = base is not MemoryModel.RELAXED
-    coherence_axiom = (
-        Axiom.RELAXED_READ_COHERENCE if relaxed else Axiom.WEAK_READ_COHERENCE
-    )
     trace = SolverTrace()
 
     try:
@@ -452,24 +554,15 @@ def solve(
         cert = [(exc.read_id, RF_INV_EDGE)]
         return Verdict.inconsistent(RF_TOTALITY, cert), trace
 
-    scan = _scan_relaxed if relaxed else _scan_weak
-    while True:
-        violation = scan(st)
-        if violation is None:
-            break
-        try:
-            replacement = _apply_update(st, violation, allow_future=relaxed)
-        except NoLaterWrite:
-            trace.final_rf = st.rf_relation()
-            cert = _blocked_certificate(st, violation)
-            return Verdict.inconsistent(coherence_axiom.value, cert), trace
-        trace.iterations.append(SolverIteration(violation, replacement))
-
+    if relaxed:
+        failure = _relaxed_pass(st, trace)
+        if failure is None and base is MemoryModel.RELAXED_ACYCLIC:
+            failure = _causal_pass(st, None)
+    else:
+        failure = _causal_pass(st, trace)
     trace.final_rf = st.rf_relation()
-    if check_porf:
-        cycle = _porf_cycle_fast(st)
-        if cycle is not None:
-            return Verdict.inconsistent(Axiom.PORF_ACYCLICITY.value, cycle), trace
+    if failure is not None:
+        return failure, trace
 
     rf = trace.final_rf
     mo = derive_mo(g)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from racheck import axioms
 from racheck.cli import main
+from racheck.model import MemoryModel
 from racheck.traceio import parse_trace, serialize_trace, TraceDocument
 
 import fixtures as fx
@@ -93,6 +95,28 @@ def test_verify_staleness_fixture(workdir, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "weak-read-coherence: FAIL" in out
+
+
+def test_verify_checks_each_axiom_once(workdir, capsys, monkeypatch):
+    calls = []
+    check_axiom = axioms.check_axiom
+
+    def counted(g, rf, mo, ax):
+        calls.append(ax)
+        return check_axiom(g, rf, mo, ax)
+
+    monkeypatch.setattr(axioms, "check_axiom", counted)
+    g, rf = fx.stale_read_via_hb()
+    path = workdir / "stale.trace"
+    path.write_text(serialize_trace(TraceDocument(g, rf)))
+    code = main(["verify", "--model", "cm", "--input", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert calls == axioms.axioms_for(MemoryModel.CM)
+    # the report covers the axioms after the first failure too
+    assert lines[:2] == ["porf-acyclicity: pass", "weak-read-coherence: FAIL"]
+    assert lines[2].startswith("ob-acyclicity: ")
+    assert lines[3] == "INCONSISTENT weak-read-coherence"
 
 
 def test_verify_mo_cycle_fixture_models_differ(workdir, capsys):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racheck import (
     EventId,
     MemoryModel,
+    NoLaterWrite,
     NoMatchingWrite,
     NotOneWriter,
     ReadsFrom,
@@ -20,7 +23,7 @@ from racheck import (
     update_rf,
     verify,
 )
-from racheck.axioms import Axiom, replay_certificate
+from racheck.axioms import Axiom, check_axiom, replay_certificate
 from racheck.harness import FuzzParams
 from racheck.solver import RF_TOTALITY, Violation
 
@@ -28,6 +31,14 @@ import fixtures as fx
 
 E = EventId
 ALL_MODELS = list(MemoryModel)
+CANONICAL_MODELS = [
+    MemoryModel.SRA,
+    MemoryModel.RA,
+    MemoryModel.WRA,
+    MemoryModel.RELAXED,
+    MemoryModel.RELAXED_ACYCLIC,
+    MemoryModel.CM,
+]
 WEAK_FAMILY = [
     MemoryModel.SRA,
     MemoryModel.RA,
@@ -262,7 +273,142 @@ def test_update_violation_must_come_from_scan():
     g = fx.single_writer_consistent()
     fabricated = Violation(read=fx.SWC_R3, write=fx.SWC_W1, blocker=fx.SWC_W5)
     # blocker beyond the last matching write exhausts the candidates
-    from racheck import NoLaterWrite
-
     with pytest.raises(NoLaterWrite):
         update_rf(g, fx.swc_rf0(), fabricated)
+
+
+# ---------------------------------------------------------------------------
+# solve against the step-by-step repair loop
+# ---------------------------------------------------------------------------
+
+
+def _coherence_mode(m: MemoryModel) -> Axiom:
+    if m.canonical in (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC):
+        return Axiom.RELAXED_READ_COHERENCE
+    return Axiom.WEAK_READ_COHERENCE
+
+
+def repair_loop(g, m: MemoryModel) -> tuple[str | None, ReadsFrom | None]:
+    """Reference decision: raise the first violating read until none is
+    left, then test causality.  Returns (failed axiom or None, final rf)."""
+    mode = _coherence_mode(m)
+    try:
+        rf = initialize_rf(g, mode)
+    except NoMatchingWrite:
+        return RF_TOTALITY, None
+    while (violation := next_violation(g, rf, mode)) is not None:
+        try:
+            rf = update_rf(g, rf, violation, mode)
+        except NoLaterWrite:
+            return mode.value, rf
+    if m.canonical is not MemoryModel.RELAXED and check_axiom(g, rf, None, Axiom.PORF_ACYCLICITY):
+        return Axiom.PORF_ACYCLICITY.value, rf
+    return None, rf
+
+
+@st.composite
+def single_writer_graphs(draw):
+    """2-4 threads over 1-3 locations, each location with one writer thread.
+
+    Reads take values that some write can supply: a written value of their
+    location, and in the writer thread one written po-before the read (a
+    read with no such location stays, and has no matching write).
+    """
+    num_threads = draw(st.integers(2, 4))
+    num_locations = draw(st.integers(1, 3))
+    writer = draw(st.lists(st.integers(0, num_threads - 1), min_size=num_locations, max_size=num_locations))
+    op = st.tuples(st.sampled_from("wr"), st.integers(0, num_locations - 1), st.integers(0, 2))
+    drawn = [draw(st.lists(op, min_size=1, max_size=7)) for _ in range(num_threads)]
+    written: dict[int, list[int]] = {}
+    for t, ops in enumerate(drawn):
+        for kind, x, v in ops:
+            if kind == "w" and writer[x] == t:
+                written.setdefault(x, []).append(v)
+    threads = []
+    for t, ops in enumerate(drawn):
+        events = []
+        own: dict[int, list[int]] = {}
+        for kind, x, v in ops:
+            if kind == "w" and writer[x] == t:
+                own.setdefault(x, []).append(v)
+                events.append(("w", f"x{x}", v))
+                continue
+            readable = sorted(y for y in written if writer[y] != t or y in own)
+            if readable and x not in readable:
+                x = readable[x % len(readable)]
+            values = sorted(set(own[x] if writer[x] == t and x in own else written.get(x, [v])))
+            events.append(("r", f"x{x}", values[v % len(values)]))
+        threads.append((f"t{t}", events))
+    return build_graph(threads)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(single_writer_graphs())
+def test_solve_matches_repair_loop(g):
+    for m in CANONICAL_MODELS:
+        verdict, trace = solve(g, m)
+        axiom, loop_rf = repair_loop(g, m)
+        assert verdict.is_consistent == (axiom is None), m
+        if axiom is None:
+            assert verdict.rf == loop_rf
+            assert verdict.mo == derive_mo(g)
+            continue
+        # The pass can close a po/rf cycle before reaching the read that
+        # the loop finds unrepairable; both answers are inconsistent.
+        assert verdict.axiom == axiom or (
+            verdict.axiom == Axiom.PORF_ACYCLICITY.value
+            and axiom == Axiom.WEAK_READ_COHERENCE.value
+        ), m
+        if axiom == RF_TOTALITY:
+            continue
+        assert replay_certificate(g, verdict.certificate, trace.final_rf, derive_mo(g)), m
+        rf = initialize_rf(g, _coherence_mode(m))
+        for it in trace.iterations:
+            rf = update_rf(g, rf, it.violation, _coherence_mode(m))
+            assert rf.mapping[it.violation.read] == it.replacement
+        assert rf == trace.final_rf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(single_writer_graphs(), st.randoms(use_true_random=False))
+def test_solve_invariant_under_thread_renaming(g, rng):
+    # renaming permutes the sorted-id order in which the pass schedules threads
+    names = [f"u{i}" for i in range(len(g.thread_ids))]
+    rng.shuffle(names)
+    rename = dict(zip(g.thread_ids, names))
+    back = {new: old for old, new in rename.items()}
+    renamed = build_graph(
+        [(rename[tid], [(ev.op, ev.var, ev.val) for ev in g.events_of[tid]]) for tid in g.thread_ids]
+    )
+    for m in CANONICAL_MODELS:
+        verdict, _ = solve(g, m)
+        other, _ = solve(renamed, m)
+        assert other.axiom == verdict.axiom, m
+        if verdict.is_consistent:
+            mapped = {
+                E(back[r.thread], r.index): E(back[w.thread], w.index)
+                for r, w in other.rf.mapping.items()
+            }
+            assert mapped == verdict.rf.mapping, m
+
+
+def test_cycle_reached_before_unrepairable_read():
+    # t1:3 can never read x=1 coherently (t1:2 overwrote it), but the pass
+    # never reaches it: t1:0 and t2:0 wait for each other's po-later write.
+    g = build_graph(
+        [
+            ("t1", [("r", "y", 1), ("w", "x", 1), ("w", "x", 0), ("r", "x", 1)]),
+            ("t2", [("r", "x", 1), ("w", "y", 1)]),
+        ]
+    )
+    assert repair_loop(g, MemoryModel.WRA)[0] == Axiom.WEAK_READ_COHERENCE.value
+    for m in WEAK_FAMILY:
+        verdict, trace = solve(g, m)
+        assert verdict.axiom == Axiom.PORF_ACYCLICITY.value
+        assert verdict.certificate == [
+            (E("t1", 0), "po"),
+            (E("t1", 1), "rf"),
+            (E("t2", 0), "po"),
+            (E("t2", 1), "rf"),
+        ]
+        assert replay_certificate(g, verdict.certificate, trace.final_rf)
