@@ -114,51 +114,124 @@ def _successors(g: PartialExecutionGraph, rf: ReadsFrom) -> dict[EventId, list[t
     return adj
 
 
-def _predecessors(g: PartialExecutionGraph, rf: ReadsFrom) -> dict[EventId, list[EventId]]:
-    pred: dict[EventId, list[EventId]] = {ev.id: [] for ev in g.events()}
-    for tid in g.thread_ids:
-        evs = g.events_of[tid]
-        for i in range(1, len(evs)):
-            pred[evs[i].id].append(evs[i - 1].id)
-    for rid, wid in rf.mapping.items():
-        pred[rid].append(wid)
-    return pred
+class _HbIndex:
+    """Happens-before (po ∪ rf)+ of one graph and rf, as per-event bitsets.
+
+    Events are numbered in sorted EventId order, so ascending bit order is
+    the order the checks scan and report in.  `reach[i]` holds the events
+    reachable from event i by one or more po/rf edges and `back[i]` the
+    events that reach i; an event on a po ∪ rf cycle holds its own bit.
+    """
+
+    def __init__(self, g: PartialExecutionGraph, rf: ReadsFrom):
+        self.ids: list[EventId] = sorted(ev.id for ev in g.events())
+        self.pos: dict[EventId, int] = {eid: i for i, eid in enumerate(self.ids)}
+        pos = self.pos
+        n = len(self.ids)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for tid in g.thread_ids:
+            evs = g.events_of[tid]
+            for a, b in zip(evs, evs[1:]):
+                succ[pos[a.id]].append(pos[b.id])
+                pred[pos[b.id]].append(pos[a.id])
+        for rid, wid in rf.mapping.items():
+            succ[pos[wid]].append(pos[rid])
+            pred[pos[rid]].append(pos[wid])
+        comps = _components(succ)
+        self.reach = _propagate(comps, succ)
+        self.back = _propagate(comps[::-1], pred)
+
+    def first(self, eids: list[EventId], mask: int) -> EventId:
+        """The first of `eids` whose bit is set in `mask`."""
+        pos = self.pos
+        return next(e for e in eids if mask >> pos[e] & 1)
+
+    def reaches(self, src: EventId, dst: EventId) -> bool:
+        try:
+            i, j = self.pos[src], self.pos[dst]
+        except KeyError as exc:
+            raise UnknownEvent(f"no event {exc.args[0]}") from None
+        return bool(self.reach[i] >> j & 1)
 
 
-def _reach_from(
-    adj: dict[EventId, list[tuple[EventId, str]]], start: EventId
-) -> set[EventId]:
-    """Events reachable from start by at least one po/rf edge."""
-    seen: set[EventId] = set()
-    queue = deque(nid for nid, _ in adj[start])
-    while queue:
-        nid = queue.popleft()
-        if nid in seen:
+def _components(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components (Tarjan, iterative), each emitted
+    after every component it reaches."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        seen.add(nid)
-        queue.extend(m for m, _ in adj[nid] if m not in seen)
-    return seen
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
 
 
-def _reach_back(pred: dict[EventId, list[EventId]], start: EventId) -> set[EventId]:
-    """Events from which start is reachable by at least one edge."""
-    seen: set[EventId] = set()
-    queue = deque(pred[start])
-    while queue:
-        nid = queue.popleft()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        queue.extend(m for m in pred[nid] if m not in seen)
-    return seen
+def _propagate(comps: list[list[int]], edges: list[list[int]]) -> list[int]:
+    """Per-event masks of the events reached by one or more `edges` steps,
+    given the components in an order where every edge target's component
+    comes first.  Members of a component share one mask."""
+    masks = [0] * len(edges)
+    for comp in comps:
+        m = 0
+        for v in comp:
+            for w in edges[v]:
+                # A target in the same component is still 0 here; every
+                # member of a cyclic component is such a target, so each
+                # gets its bit from this line.
+                m |= masks[w] | 1 << w
+        for v in comp:
+            masks[v] = m
+    return masks
+
+
+def _bits(mask: int):
+    """Set bit positions of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def hb_reaches(g: PartialExecutionGraph, rf: ReadsFrom, src: EventId, dst: EventId) -> bool:
     """True iff (src, dst) is in the transitive closure of po and rf."""
     g.event(src)
     g.event(dst)
-    adj = _successors(g, rf)
-    return dst in _reach_from(adj, src)
+    return _HbIndex(g, rf).reaches(src, dst)
 
 
 def _find_cycle(
@@ -230,19 +303,100 @@ class ObRelation:
         return sorted(a for a, b in self.pairs if a == b)
 
 
-def _closure(edge_adj: dict[EventId, set[EventId]]) -> set[tuple[EventId, EventId]]:
-    pairs: set[tuple[EventId, EventId]] = set()
-    for start in edge_adj:
-        seen: set[EventId] = set()
-        queue = deque(edge_adj[start])
+class _ObservedOrder:
+    """The observed-order fixed point of one anchor, as bitset rows.
+
+    `rows[e]` is the closure row of event e of the anchor's reflexive
+    hb-past and `gen[e]` its generating edges: the hb seed plus the edges
+    the triplet rule added, which `added` lists in the order they came.
+    """
+
+    def __init__(self, hb: _HbIndex, g: PartialExecutionGraph, rf: ReadsFrom, anchor: EventId):
+        pos = hb.pos
+        a = pos[anchor]
+        self.hb = hb
+        self.anchor = anchor
+        self.past = past = hb.back[a] | 1 << a
+        # Rule 1: hb restricted to the past.  Every hb path between two
+        # events of the past stays inside it, so the seed is already closed.
+        rows = {e: hb.reach[e] & past for e in _bits(past)}
+        gen = {e: row & ~(1 << e) for e, row in rows.items()}
+
+        # Conflicting triplets anchored at reads po-at-or-before the anchor.
+        # A write outside the past never gains an edge, so it is left out.
+        triplets: list[tuple[int, int, int]] = []
+        for r in g.events_of[anchor.thread][: anchor.index + 1]:
+            if not r.is_read:
+                continue
+            wid = rf.mapping[r.id]
+            w, ri = pos[wid], pos[r.id]
+            for other in g.writes_by_var.get(r.var, ()):
+                o = pos[other.id]
+                if other.id != wid and past >> o & 1:
+                    triplets.append((w, ri, o))
+
+        self.added: list[tuple[int, int]] = []
+        while True:
+            # A round reads the closure as it stood when the round began.
+            new = []
+            for w, ri, o in triplets:
+                row = rows[o]
+                if row >> ri & 1 and not (row | gen[o]) >> w & 1:
+                    gen[o] |= 1 << w
+                    new.append((o, w))
+            if not new:
+                break
+            for o, w in new:
+                grow = rows[w] | 1 << w
+                rows[o] |= grow
+                for e, row in rows.items():
+                    if row >> o & 1:
+                        rows[e] = row | grow
+            self.added += new
+        self.rows = rows
+        self.gen = gen
+
+    def contains(self, a: EventId, b: EventId) -> bool:
+        pos = self.hb.pos
+        return a in pos and b in pos and bool(self.rows.get(pos[a], 0) >> pos[b] & 1)
+
+    def first_reflexive(self) -> int | None:
+        return next((e for e, row in self.rows.items() if row >> e & 1), None)
+
+    def cycle(self, start: int) -> list[tuple[EventId, str]]:
+        """Shortest generating-edge cycle through a reflexive event."""
+        gen = self.gen
+        parent: dict[int, int] = {}
+        queue: deque[int] = deque()
+        for n in _bits(gen[start]):
+            parent[n] = start
+            queue.append(n)
         while queue:
             n = queue.popleft()
-            if n in seen:
-                continue
-            seen.add(n)
-            queue.extend(edge_adj.get(n, ()))
-        pairs.update((start, n) for n in seen)
-    return pairs
+            if n == start:
+                break
+            for m in _bits(gen[n]):
+                if m not in parent:
+                    parent[m] = n
+                    queue.append(m)
+        # walk back from start's reappearance
+        path = [start]
+        node = parent[start]
+        while node != start:
+            path.append(node)
+            node = parent[node]
+        path.reverse()
+        ids = self.hb.ids
+        return normalize_cycle([(ids[n], OB_EDGE) for n in path])
+
+    def relation(self) -> ObRelation:
+        ids, reach, past = self.hb.ids, self.hb.reach, self.past
+        pairs = frozenset((ids[e], ids[f]) for e, row in self.rows.items() for f in _bits(row))
+        seed = [
+            (ids[e], ids[f]) for e in self.rows for f in _bits(reach[e] & past & ~(1 << e))
+        ]
+        added = [(ids[o], ids[w]) for o, w in self.added]
+        return ObRelation(anchor=self.anchor, pairs=pairs, edges=tuple(seed + added))
 
 
 def compute_ob(
@@ -263,84 +417,32 @@ def compute_ob(
     else:
         anchor_id = anchor
         g.event(anchor_id)
-
-    adj = _successors(g, rf)
-    pred = _predecessors(g, rf)
-    past = _reach_back(pred, anchor_id)
-    past.add(anchor_id)
-
-    # Rule 1: hb restricted to the (reflexive) past of the anchor.
-    edge_adj: dict[EventId, set[EventId]] = {e: set() for e in past}
-    for e in past:
-        for f in _reach_from(adj, e):
-            if f in past and f != e:
-                edge_adj[e].add(f)
-
-    # Conflicting triplets anchored at reads po-at-or-before the anchor.
-    triplets: list[tuple[EventId, EventId, EventId]] = []
-    for r in g.reads:
-        rid = r.id
-        in_prefix = rid == anchor_id or (
-            rid.thread == anchor_id.thread and rid.index < anchor_id.index
-        )
-        if not in_prefix:
-            continue
-        wid = rf.mapping[rid]
-        for other in g.writes_by_var.get(r.var, []):
-            if other.id != wid:
-                triplets.append((wid, rid, other.id))
-
-    edges: list[tuple[EventId, EventId]] = sorted(
-        (a, b) for a in edge_adj for b in edge_adj[a]
-    )
-    pairs = _closure(edge_adj)
-    changed = True
-    while changed:
-        changed = False
-        for wid, rid, other in triplets:
-            if (other, rid) in pairs and (other, wid) not in pairs:
-                edge_adj.setdefault(other, set())
-                if wid not in edge_adj[other]:
-                    edge_adj[other].add(wid)
-                    edges.append((other, wid))
-                    changed = True
-        if changed:
-            pairs = _closure(edge_adj)
-    return ObRelation(anchor=anchor_id, pairs=frozenset(pairs), edges=tuple(edges))
+    return _ObservedOrder(_HbIndex(g, rf), g, rf, anchor_id).relation()
 
 
-def _ob_cycle(ob: ObRelation, start: EventId) -> list[tuple[EventId, str]]:
-    """Shortest generating-edge cycle through a reflexive event."""
-    adj: dict[EventId, list[EventId]] = {}
-    for a, b in ob.edges:
-        adj.setdefault(a, []).append(b)
-    for lst in adj.values():
-        lst.sort()
-    parent: dict[EventId, EventId] = {}
-    queue = deque(adj.get(start, ()))
-    for n in adj.get(start, ()):
-        parent.setdefault(n, start)
-    while queue:
-        n = queue.popleft()
-        if n == start:
-            break
-        for m in adj.get(n, ()):
-            if m not in parent:
-                parent[m] = n
-                queue.append(m)
-    # walk back from start's reappearance
-    path = [start]
-    node = parent[start]
-    while node != start:
-        path.append(node)
-        node = parent[node]
-    path.reverse()
-    return normalize_cycle([(n, OB_EDGE) for n in path])
+def _thread_orders(g: PartialExecutionGraph, rf: ReadsFrom):
+    """The observed order of every non-empty thread, in sorted thread order,
+    on one shared hb index."""
+    hb = _HbIndex(g, rf)
+    for tid in sorted(g.thread_ids):
+        evs = g.events_of[tid]
+        if evs:
+            yield _ObservedOrder(hb, g, rf, evs[-1].id)
 
 
 # ---------------------------------------------------------------------------
 # Axiom checks
 # ---------------------------------------------------------------------------
+
+
+def _suffix_masks(hb: _HbIndex, order: list[EventId]) -> list[int]:
+    """later[i]: the bits of the events after order[i]."""
+    later = [0] * len(order)
+    acc = 0
+    for i in range(len(order) - 1, 0, -1):
+        acc |= 1 << hb.pos[order[i]]
+        later[i - 1] = acc
+    return later
 
 
 def check_axiom(
@@ -364,30 +466,30 @@ def check_axiom(
         return porf_cycle(g, rf)
 
     if ax is Axiom.WRITE_COHERENCE:
-        pred = _predecessors(g, rf)
+        hb = _HbIndex(g, rf)
         for var in sorted(mo.per_var):
             order = mo.order(var)
+            later = _suffix_masks(hb, order)
             for i, w1 in enumerate(order):
-                if i + 1 == len(order):
-                    continue
-                back = _reach_back(pred, w1)
-                for w2 in order[i + 1 :]:
-                    if w2 in back:
-                        return [(w1, MO_EDGE), (w2, HB_EDGE)]
+                hit = hb.back[hb.pos[w1]] & later[i]
+                if hit:
+                    return [(w1, MO_EDGE), (hb.first(order[i + 1 :], hit), HB_EDGE)]
         return None
 
     if ax is Axiom.READ_COHERENCE:
-        pred = _predecessors(g, rf)
+        hb = _HbIndex(g, rf)
+        scans: dict[str, tuple[list[EventId], dict[EventId, int], list[int]]] = {}
         for r in g.reads:
+            if r.var not in scans:
+                order = mo.order(r.var)
+                scans[r.var] = order, mo.position(r.var), _suffix_masks(hb, order)
+            order, position, later = scans[r.var]
             w1 = rf.mapping[r.id]
-            order = mo.order(r.var)
-            pos = order.index(w1)
-            if pos + 1 == len(order):
-                continue
-            back = _reach_back(pred, r.id)
-            for w2 in order[pos + 1 :]:
-                if w2 in back:
-                    return [(r.id, RF_INV_EDGE), (w1, MO_EDGE), (w2, HB_EDGE)]
+            pos = position[w1]
+            hit = hb.back[hb.pos[r.id]] & later[pos]
+            if hit:
+                w2 = hb.first(order[pos + 1 :], hit)
+                return [(r.id, RF_INV_EDGE), (w1, MO_EDGE), (w2, HB_EDGE)]
         return None
 
     if ax is Axiom.STRONG_WRITE_COHERENCE:
@@ -400,18 +502,17 @@ def check_axiom(
         return _find_cycle([ev.id for ev in g.events()], adj)
 
     if ax is Axiom.WEAK_READ_COHERENCE:
-        adj = _successors(g, rf)
-        pred = _predecessors(g, rf)
+        hb = _HbIndex(g, rf)
+        writes = {
+            var: sum(1 << hb.pos[w.id] for w in ws) for var, ws in g.writes_by_var.items()
+        }
         for r in g.reads:
             w1 = rf.mapping[r.id]
-            back = _reach_back(pred, r.id)
-            candidates = [w.id for w in g.writes_by_var[r.var] if w.id in back]
-            if not candidates:
-                continue
-            fwd = _reach_from(adj, w1)
-            for w2 in candidates:
-                if w2 in fwd:
-                    return [(r.id, RF_INV_EDGE), (w1, HB_EDGE), (w2, HB_EDGE)]
+            # writes of the location hb-before the read and hb-after its write
+            hit = hb.back[hb.pos[r.id]] & writes[r.var] & hb.reach[hb.pos[w1]]
+            if hit:
+                w2 = hb.ids[(hit & -hit).bit_length() - 1]
+                return [(r.id, RF_INV_EDGE), (w1, HB_EDGE), (w2, HB_EDGE)]
         return None
 
     if ax is Axiom.RELAXED_WRITE_COHERENCE:
@@ -427,11 +528,13 @@ def check_axiom(
         readers: dict[EventId, list[EventId]] = {}
         for rid, wid in rf.mapping.items():
             readers.setdefault(wid, []).append(rid)
+        positions: dict[str, dict[EventId, int]] = {}
         for r in g.reads:
+            if r.var not in positions:
+                positions[r.var] = mo.position(r.var)
             w1 = rf.mapping[r.id]
             order = mo.order(r.var)
-            pos = order.index(w1)
-            for w2 in order[pos + 1 :]:
+            for w2 in order[positions[r.var][w1] + 1 :]:
                 if w2.thread == r.id.thread and w2.index < r.id.index:
                     return [(r.id, RF_INV_EDGE), (w1, MO_EDGE), (w2, PO_EDGE)]
                 for r2 in sorted(readers.get(w2, ())):
@@ -445,13 +548,10 @@ def check_axiom(
         return None
 
     if ax is Axiom.OB_ACYCLICITY:
-        for tid in sorted(g.thread_ids):
-            if not g.events_of[tid]:
-                continue
-            ob = compute_ob(g, rf, tid)
-            reflexive = ob.reflexive_events()
-            if reflexive:
-                return _ob_cycle(ob, reflexive[0])
+        for ob in _thread_orders(g, rf):
+            start = ob.first_reflexive()
+            if start is not None:
+                return ob.cycle(start)
         return None
 
     raise ValueError(f"unknown axiom {ax!r}")
@@ -508,6 +608,7 @@ def replay_certificate(
     """
     if len(cert) <= 1:
         return all(g.has_event(e) for e, _ in cert)
+    hb: _HbIndex | None = None
     ob_steps: list[tuple[EventId, EventId]] = []
     for i, (a, label) in enumerate(cert):
         b = cert[(i + 1) % len(cert)][0]
@@ -528,7 +629,11 @@ def replay_certificate(
             if a not in order or b not in order or order.index(a) >= order.index(b):
                 return False
         elif label == HB_EDGE:
-            if rf is None or not hb_reaches(g, rf, a, b):
+            if rf is None:
+                return False
+            if hb is None:
+                hb = _HbIndex(g, rf)
+            if not hb.reaches(a, b):
                 return False
         elif label == OB_EDGE:
             ob_steps.append((a, b))
@@ -537,11 +642,7 @@ def replay_certificate(
     if ob_steps:
         if rf is None:
             return False
-        for tid in sorted(g.thread_ids):
-            if not g.events_of[tid]:
-                continue
-            ob = compute_ob(g, rf, tid)
-            if all(ob.contains(a, b) for a, b in ob_steps):
-                return True
-        return False
+        return any(
+            all(ob.contains(a, b) for a, b in ob_steps) for ob in _thread_orders(g, rf)
+        )
     return True

@@ -10,6 +10,7 @@ exceeded.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -179,7 +180,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_CONSISTENT if not report.failures else EXIT_INCONSISTENT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call:
+    parsing leaves it unchanged, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="racheck",
         description="Consistency testing of execution graphs under "

@@ -265,3 +265,27 @@ def scaling_graph(n: int, num_locations: int = 8, values: int = 4) -> PartialExe
             ops.append(("r", var, val))
         threads.append((f"r{i + 1:02d}", ops))
     return build_graph(threads)
+
+
+def synchronizing_graph(n: int, num_threads: int = 4, values: int = 4) -> PartialExecutionGraph:
+    """Deterministic single-writer family whose hb-pasts span most of the graph.
+
+    A round-robin schedule: each step one thread writes the next value of
+    its own location and then reads the value another thread's location
+    holds at that point, the reader's target rotating over the other
+    threads.  The schedule is a sequentially consistent run, so the graph
+    is consistent under every model, and every thread keeps synchronizing
+    with every other.
+    """
+    ops: list[list[tuple[str, str, int]]] = [[] for _ in range(num_threads)]
+    current: dict[int, int] = {}
+    step = 0
+    while sum(map(len, ops)) < n:
+        t, j = step % num_threads, step // num_threads
+        current[t] = j % values
+        ops[t].append(("w", f"x{t}", current[t]))
+        other = (t + 1 + j % (num_threads - 1)) % num_threads
+        if other in current:
+            ops[t].append(("r", f"x{other}", current[other]))
+        step += 1
+    return build_graph([(f"t{t}", ops[t]) for t in range(num_threads)])

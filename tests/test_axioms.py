@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from racheck import (
     EventId,
@@ -20,12 +23,15 @@ from racheck import (
     hb_reaches,
     random_graph,
     replay_certificate,
+    solve,
     verify,
 )
-from racheck.axioms import Axiom, EmptyThread, check_axiom
+from racheck import axioms
+from racheck.axioms import Axiom, EmptyThread, check_axiom, porf_cycle
 from racheck.harness import FuzzParams
 
 import fixtures as fx
+import reference_axioms as ref
 
 E = EventId
 WEAK_MODELS = [MemoryModel.SRA, MemoryModel.RA, MemoryModel.WRA]
@@ -278,6 +284,22 @@ def test_verify_rejects_invalid_rf():
         verify(g, broken, None, MemoryModel.WRA)
 
 
+def test_cm_verify_scales_on_synchronizing_graph():
+    # every thread reads every other thread's location, so each thread's
+    # hb-past, and with it its observed order, spans most of the graph
+    g = fx.synchronizing_graph(1000)
+    verdict, _ = solve(g, MemoryModel.CM)
+    assert verdict.is_consistent
+    start = time.perf_counter()
+    checked = verify(g, verdict.rf, verdict.mo, MemoryModel.CM)
+    elapsed = time.perf_counter() - start
+    assert checked.is_consistent
+    hb = axioms._HbIndex(g, verdict.rf)
+    for tid in g.thread_ids:
+        assert hb.back[hb.pos[g.events_of[tid][-1].id]].bit_count() > 900
+    assert elapsed < 5.0, f"verify under cm took {elapsed:.2f}s on {g.num_events} events"
+
+
 def test_model_aliases_dispatch_identically():
     g, rf = fx.stale_read_via_hb()
     assert verify(g, rf, None, MemoryModel.CC).axiom == verify(g, rf, None, MemoryModel.WRA).axiom
@@ -352,3 +374,70 @@ def test_certificates_replay_on_random_cases():
                     count += 1
                     assert replay_certificate(g, cert, rf, mo), (ax, cert)
     assert count > 20
+
+
+# ---------------------------------------------------------------------------
+# Bitset hb index against the set-based reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def multiwriter_cases(draw):
+    """1-4 threads over 1-3 locations, any thread writing anywhere, with a
+    random mo and a value-matching rf whose sources are drawn freely, so
+    po-later writes and po ∪ rf cycles occur."""
+    num_threads = draw(st.integers(1, 4))
+    num_locations = draw(st.integers(1, 3))
+    op = st.tuples(st.sampled_from("wr"), st.integers(0, num_locations - 1), st.integers(0, 2))
+    drawn = [draw(st.lists(op, min_size=1, max_size=7)) for _ in range(num_threads)]
+    writes = [
+        (t, i, x, v) for t, ops in enumerate(drawn) for i, (kind, x, v) in enumerate(ops) if kind == "w"
+    ]
+    threads = []
+    sources = {}
+    for t, ops in enumerate(drawn):
+        events = []
+        for i, (kind, x, v) in enumerate(ops):
+            if kind == "r" and writes:
+                wt, wi, x, v = writes[draw(st.integers(0, len(writes) - 1))]
+                sources[E(f"t{t}", i)] = E(f"t{wt}", wi)
+            events.append((kind if writes else "w", f"x{x}", v))
+        threads.append((f"t{t}", events))
+    g = build_graph(threads)
+    rng = draw(st.randoms(use_true_random=False))
+    mo = ModificationOrder(
+        {var: rng.sample([w.id for w in ws], len(ws)) for var, ws in g.writes_by_var.items()}
+    )
+    return g, ReadsFrom(sources), mo
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(multiwriter_cases())
+def test_hb_checks_match_set_reference(case):
+    g, rf, mo = case
+    for ax in ref.REFERENCE_AXIOMS:
+        cert = check_axiom(g, rf, mo, ax)
+        assert cert == ref.check_axiom(g, rf, mo, ax), ax
+        assert cert is None or replay_certificate(g, cert, rf, mo), ax
+    ids = sorted(ev.id for ev in g.events())
+    for a in ids:
+        for b in ids:
+            assert hb_reaches(g, rf, a, b) == ref.hb_reaches(g, rf, a, b), (a, b)
+    # thread anchors and every mid-thread anchor
+    for anchor in sorted(g.thread_ids) + ids:
+        assert compute_ob(g, rf, anchor) == ref.compute_ob(g, rf, anchor), anchor
+
+
+def test_multiwriter_cases_reach_cycles():
+    # the differential test above sees po ∪ rf cycles and, on acyclic
+    # po ∪ rf, observed-order cycles
+    cfg = settings(
+        max_examples=300, derandomize=True, database=None, phases=[Phase.generate]
+    )
+    find(multiwriter_cases(), lambda c: porf_cycle(c[0], c[1]) is not None, settings=cfg)
+    find(
+        multiwriter_cases(),
+        lambda c: porf_cycle(c[0], c[1]) is None
+        and check_axiom(c[0], c[1], None, Axiom.OB_ACYCLICITY) is not None,
+        settings=cfg,
+    )

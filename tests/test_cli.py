@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from racheck import axioms
-from racheck.cli import main
+from racheck.cli import build_parser, main
 from racheck.model import MemoryModel
 from racheck.traceio import parse_trace, serialize_trace, TraceDocument
 
@@ -52,6 +52,37 @@ def test_check_inconsistent_fixture(workdir, capsys):
 
 def test_check_missing_model_flag(workdir, capsys):
     assert main(["check", "--input", str(workdir / "fig2.trace")]) == 2
+
+
+def test_parser_is_shared_and_options_do_not_leak(workdir, capsys):
+    assert build_parser() is build_parser()
+    fig2 = str(workdir / "fig2.trace")
+    witness, steps = workdir / "witness.trace", workdir / "steps.txt"
+
+    assert main(["check", "--model", "wra", "--input", fig2, "--witness", str(witness)]) == 0
+    assert main(["check", "--model", "wra", "--input", fig2, "--trace", str(steps)]) == 0
+    assert witness.exists() and steps.exists()
+    witness.unlink()
+    steps.unlink()
+    assert main(["check", "--model", "sra", "--input", fig2]) == 0
+    assert not witness.exists() and not steps.exists()
+
+    capsys.readouterr()
+    assert main(["oracle", "--model", "wra", "--input", fig2, "--all-rf"]) == 0
+    assert "consistent rf count: 1" in capsys.readouterr().out
+    assert main(["oracle", "--model", "wra", "--input", fig2, "--max-events", "3"]) == 3
+    assert main(["oracle", "--model", "wra", "--input", fig2]) == 0
+    assert "consistent rf count" not in capsys.readouterr().out
+
+    # usage errors and --help read as from a freshly built parser
+    fresh = build_parser.__wrapped__()
+    assert main(["check", "--input", fig2]) == 2
+    assert "the following arguments are required: --model" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == fresh.format_help()
+    assert main(["verify", "--model", "wra", "--input", fig2]) == 2
+    assert main(["check", "--model", "wra", "--input", fig2]) == 0
+    assert capsys.readouterr().out.splitlines() == ["CONSISTENT"]
 
 
 def test_check_solver_trace_output(workdir):
