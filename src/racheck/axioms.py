@@ -228,10 +228,30 @@ def _bits(mask: int):
 
 
 def hb_reaches(g: PartialExecutionGraph, rf: ReadsFrom, src: EventId, dst: EventId) -> bool:
-    """True iff (src, dst) is in the transitive closure of po and rf."""
+    """True iff (src, dst) is in the transitive closure of po and rf.
+
+    One forward sweep from src, stopping at dst.  Reaching an event
+    reaches the rest of its thread, so the sweep keeps, per thread, the
+    first event reached and scans each thread's events at most once.
+    """
     g.event(src)
     g.event(dst)
-    return _HbIndex(g, rf).reaches(src, dst)
+    readers: dict[EventId, list[EventId]] = {}
+    for rid, wid in rf.mapping.items():
+        readers.setdefault(wid, []).append(rid)
+    first = {tid: len(evs) for tid, evs in g.events_of.items()}
+    todo = [EventId(src.thread, src.index + 1), *readers.get(src, ())]
+    while todo:
+        e = todo.pop()
+        end = first[e.thread]
+        if e.index >= end:
+            continue
+        if e.thread == dst.thread and e.index <= dst.index < end:
+            return True
+        first[e.thread] = e.index
+        for ev in g.events_of[e.thread][e.index : end]:
+            todo.extend(readers.get(ev.id, ()))
+    return False
 
 
 def _find_cycle(

@@ -4,8 +4,9 @@ Ground truth for everything else: enumerate value-matching reads-from
 candidates and per-location write orders, and verify the axioms.  The
 public streams are the plain Cartesian products.  The decision entry
 points run the same space as a backtracking search, most-constrained
-read first, discarding partial assignments only when no completion can
-satisfy the queried model:
+read first (fewest candidates, then event id), each read's candidates
+in (thread, index) order, discarding partial assignments only when no
+completion can satisfy the queried model:
 
  * a po/rf cycle never disappears when more rf edges are added, so
    models mandating porf-acyclicity prune on the first cycle;
@@ -16,6 +17,33 @@ satisfy the queried model:
  * under the relaxed models the per-location write-order constraints
    forced by the axioms only grow with the assignment, so a forced
    cycle prunes.
+
+The search backjumps over conflict sets (Prosser's CBJ).  Each prune
+names the depths of the assigned reads it rests on:
+
+ * porf cycle (read r takes write w, and r already reaches w): every
+   assigned read q with w_q in reach(r) ∪ {r} and q in coreach(w) ∪ {w},
+   taken before the edge w -> r is added, so every rf edge that can lie
+   on a path r ->* w;
+ * weak-read-coherence at (q, w_q): the rf edges that can lie on a path
+   w_q ->* q, q's own included;
+ * relaxed forced cycle on location x: every assigned read of x, as the
+   forced digraph of x depends on those alone;
+ * a failed leaf (ob-acyclicity under CM, or no modification order):
+   every depth.
+
+A read that runs out of candidates returns the union of its conflict
+sets minus itself, and a read whose depth is not in a returned set
+undoes its assignment and passes the set up without trying its other
+candidates.  While enumerating (`all_consistent_rfs`) a recorded leaf
+also blames every depth.  So only subtrees without leaves are skipped:
+the search reaches the same leaves in the same order as a chronological
+one, returns the same first witness (rf, and the first mo of
+`_first_mo` for that rf), and meets the same mo budget exits.
+
+Budgets: `max_rf_candidates` counts the candidates tried (search nodes,
+`_Search.rf_nodes`), `max_mo_permutations` the placements tried by one
+`_first_mo` call.  Exceeding either raises `BudgetExceeded`.
 
 Happens-before is maintained incrementally as per-event reachability
 bitmasks, snapshotted per search node.
@@ -162,7 +190,8 @@ class _Search:
         # most-constrained read first; candidate order stays (thread, index)
         cands = _read_candidates(g)
         self.order = sorted(cands, key=lambda rc: (len(rc[1]), rc[0].id))
-        self.rf_nodes = 0
+        self.rf_nodes = 0  # candidates tried, the `max_rf_candidates` budget
+        self.backjumps = 0  # returns that skipped a read's remaining candidates
         self.assignment: dict[int, int] = {}  # read idx -> write idx
         self.assigned_reads: list[tuple[int, int, int]] = []  # (read, write, var mask)
         # relaxed forced-order digraph per location
@@ -213,6 +242,24 @@ class _Search:
                     stack.pop()
         return False
 
+    # -- conflict sets ----------------------------------------------------
+
+    def _depths_between(self, heads: int, tails: int) -> int:
+        """Depths of the assigned reads q whose edge w_q -> q can lie on a
+        po/rf path from `heads` to `tails`: w_q in `heads`, q in `tails`."""
+        mask = 0
+        for depth, (q, wq, _) in enumerate(self.assigned_reads):
+            if heads >> wq & 1 and tails >> q & 1:
+                mask |= 1 << depth
+        return mask
+
+    def _depths_of_location(self, var_mask: int) -> int:
+        mask = 0
+        for depth, (_, _, qmask) in enumerate(self.assigned_reads):
+            if qmask == var_mask:
+                mask |= 1 << depth
+        return mask
+
     # -- search -----------------------------------------------------------
 
     def run(self, stop_at_first: bool) -> tuple[
@@ -222,6 +269,7 @@ class _Search:
         found: list[ReadsFrom] = []
 
         enc = self.enc
+        every_depth = (1 << len(self.order)) - 1
 
         def leaf() -> bool:
             rf = ReadsFrom(
@@ -241,13 +289,19 @@ class _Search:
                 return True
             return False
 
-        def descend(depth: int) -> bool:
+        def descend(depth: int) -> tuple[bool, int]:
+            """(found, conflict set): on failure, the mask of the shallower
+            depths whose assignments alone leave this subtree without a leaf."""
             if depth == len(self.order):
-                return leaf()
+                # A failed leaf, and a leaf recorded while enumerating,
+                # blame every depth: the search backtracks chronologically.
+                return leaf(), every_depth
             rev, matches = self.order[depth]
             r = enc.index[rev.id]
             var_mask = enc.var_write_mask[rev.var]
-            for wid in matches:
+            me = 1 << depth
+            conflicts = 0
+            for k, wid in enumerate(matches):
                 w = enc.index[wid]
                 self.rf_nodes += 1
                 if self.rf_nodes > self.limits.max_rf_candidates:
@@ -265,15 +319,21 @@ class _Search:
                 self.assignment[r] = w
                 self.assigned_reads.append((r, w, var_mask))
                 added: list[tuple[EventId, EventId]] = []
-                ok = True
-                if self.prune_porf and enc.reach[r] & (1 << r):
-                    ok = False
-                if ok and self.prune_weakrc:
+                # Every prune's conflict set holds the depth of at least
+                # one assigned read, so 0 means "not pruned".
+                conflict = 0
+                if self.prune_porf and sources >> r & 1:
+                    # r reaches w: the cycle runs r ->* w -> r, over po and
+                    # the rf edges between `targets` and `sources`.
+                    conflict = self._depths_between(targets, sources)
+                if not conflict and self.prune_weakrc:
                     for q, wq, qmask in self.assigned_reads:
                         if enc.reach[wq] & enc.coreach[q] & qmask:
-                            ok = False
+                            conflict = self._depths_between(
+                                enc.reach[wq] | (1 << wq), enc.coreach[q] | (1 << q)
+                            )
                             break
-                if ok and self.prune_relaxed:
+                if not conflict and self.prune_relaxed:
                     adj = self.forced.setdefault(rev.var, {})
                     for a, b in self._forced_new_pairs(rev.id, wid):
                         successors = adj.setdefault(a, set())
@@ -281,9 +341,11 @@ class _Search:
                             successors.add(b)
                             added.append((a, b))
                     if added and self._forced_cycle(rev.var):
-                        ok = False
-                if ok and descend(depth + 1):
-                    return True
+                        conflict = self._depths_of_location(var_mask)
+                if not conflict:
+                    done, conflict = descend(depth + 1)
+                    if done:
+                        return True, 0
                 # undo
                 if added:
                     adj = self.forced[rev.var]
@@ -293,8 +355,14 @@ class _Search:
                 del self.assignment[r]
                 enc.reach = reach_snap
                 enc.coreach = coreach_snap
-                # snapshots restored by rebinding; keep local names fresh
-            return False
+                if not conflict & me:
+                    # the failure does not depend on this read: no other
+                    # candidate can help, so jump back past it
+                    if k + 1 < len(matches):
+                        self.backjumps += 1
+                    return False, conflict
+                conflicts |= conflict
+            return False, conflicts & ~me
 
         descend(0)
         return (witness[0] if witness else None), found

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, assume, find, given, settings
+from hypothesis import strategies as st
 
 from racheck import (
     BudgetExceeded,
@@ -12,6 +14,8 @@ from racheck import (
     all_consistent_rfs,
     build_graph,
     cnf_to_threewriter,
+    cnf_to_twowriter,
+    cnf_to_twowriter_relaxed,
     enumerate_mos,
     enumerate_rfs,
     oracle_consistent,
@@ -21,11 +25,22 @@ from racheck import (
 )
 from racheck.axioms import model_needs_mo
 from racheck.harness import FuzzParams
-from racheck.oracle import EXHAUSTED
+from racheck.oracle import EXHAUSTED, _Search, _unmatched_read
+from racheck.reductions import CnfFormula
 
 import fixtures as fx
+from reference_oracle import ChronologicalSearch
 
 E = EventId
+
+CANONICAL_MODELS = [
+    MemoryModel.SRA,
+    MemoryModel.RA,
+    MemoryModel.WRA,
+    MemoryModel.RELAXED,
+    MemoryModel.RELAXED_ACYCLIC,
+    MemoryModel.CM,
+]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +217,7 @@ def test_oracle_inconsistent_iff_no_consistent_rf():
         g = random_graph(
             FuzzParams(seed=seed + 400, num_threads=3, num_locations=2, num_events=8, writer_bound=2)
         )
-        for m in (MemoryModel.SRA, MemoryModel.WRA, MemoryModel.RELAXED):
+        for m in CANONICAL_MODELS:
             verdict = oracle_consistent(g, m)
             rfs = all_consistent_rfs(g, m)
             assert verdict.is_consistent == bool(rfs)
@@ -226,3 +241,142 @@ def test_oracle_agrees_with_solver_on_single_writer():
         )
         for m in MemoryModel:
             assert oracle_consistent(g, m).is_consistent == solve(g, m)[0].is_consistent
+
+
+# ---------------------------------------------------------------------------
+# Backjumping against the chronological reference
+# ---------------------------------------------------------------------------
+
+GADGETS = {
+    "cnf2w": cnf_to_twowriter,
+    "cnf3w": cnf_to_threewriter,
+    "cnf2w-rlx": cnf_to_twowriter_relaxed,
+}
+
+# the 3-variable formula made of all eight sign patterns: unsatisfiable
+EIGHT_PATTERNS = CnfFormula(
+    3,
+    tuple(((1, a), (2, b), (3, c)) for a in (True, False) for b in (True, False) for c in (True, False)),
+)
+
+
+def sign_patterns(a, b, pos):
+    """Four clauses, one per sign pattern of variables a and b, so no
+    assignment satisfies them; each repeats a's literal and has b's
+    literal in slot `pos`."""
+    clauses = []
+    for sa in (True, False):
+        for sb in (True, False):
+            lits = [(a, sa), (a, sa)]
+            lits.insert(pos, (b, sb))
+            clauses.append(tuple(lits))
+    return clauses
+
+
+@st.composite
+def formulas(draw):
+    """Half the time 1-4 random clauses over 1-2 variables (mostly
+    satisfiable), half the time `sign_patterns` in a drawn layout and
+    clause order."""
+    if draw(st.booleans()):
+        num_vars = draw(st.integers(1, 2))
+        literal = st.tuples(st.integers(1, num_vars), st.booleans())
+        clauses = draw(st.lists(st.tuples(literal, literal, literal), min_size=1, max_size=4))
+        return CnfFormula(num_vars, tuple(clauses))
+    a, b = draw(st.permutations([1, 2]))
+    clauses = sign_patterns(a, b, draw(st.integers(0, 2)))
+    return CnfFormula(2, tuple(draw(st.permutations(clauses))))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A multi-writer random graph of up to 16 events or a small SAT
+    gadget, with no unmatched read (the entry points decide those before
+    any search), one of the six canonical models, and budgets small
+    enough that both limits are met now and then."""
+    if draw(st.booleans()):
+        g = random_graph(
+            FuzzParams(
+                seed=draw(st.integers(0, 10**6)),
+                num_threads=draw(st.integers(2, 4)),
+                num_locations=draw(st.integers(1, 2)),
+                num_events=draw(st.integers(4, 16)),
+                value_range=draw(st.integers(2, 3)),
+                writer_bound=None,
+            )
+        )
+    else:
+        g = GADGETS[draw(st.sampled_from(sorted(GADGETS)))](draw(formulas()))
+    assume(_unmatched_read(g) is None)
+    limits = OracleLimits(
+        max_rf_candidates=draw(st.sampled_from([30, 20_000])),
+        max_mo_permutations=draw(st.sampled_from([30, 2_000])),
+    )
+    return g, draw(st.sampled_from(CANONICAL_MODELS)), limits
+
+
+def _outcome(search_class, g, m, limits, stop_at_first):
+    search = search_class(g, m, limits)
+    try:
+        witness, found = search.run(stop_at_first)
+    except BudgetExceeded as exc:
+        return ("budget", exc.limit), search
+    return (witness if stop_at_first else found), search
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+def test_backjumping_matches_chronological_search(case):
+    g, m, limits = case
+    for stop_at_first in (True, False):
+        ref, ref_search = _outcome(ChronologicalSearch, g, m, limits, stop_at_first)
+        out, search = _outcome(_Search, g, m, limits, stop_at_first)
+        assert search.rf_nodes <= ref_search.rf_nodes
+        # Only subtrees without leaves are skipped, so every outcome the
+        # reference reaches within the node budget is reproduced exactly:
+        # the first witness (rf and mo), the enumerated rfs in order, and
+        # the mo budget exit.  Where the reference runs out of nodes, the
+        # smaller search may still decide.
+        if ref != ("budget", "max_rf_candidates"):
+            assert out == ref, stop_at_first
+
+
+def test_oracle_cases_reach_budgets_and_backjumps():
+    # the differential test above sees both budget exits and backjumps
+    cfg = settings(max_examples=250, derandomize=True, database=None, phases=[Phase.generate])
+
+    def outcome_is(expected):
+        def check(case):
+            return _outcome(ChronologicalSearch, *case, True)[0] == expected
+
+        return check
+
+    find(oracle_cases(), outcome_is(("budget", "max_rf_candidates")), settings=cfg)
+    find(oracle_cases(), outcome_is(("budget", "max_mo_permutations")), settings=cfg)
+    find(
+        oracle_cases(),
+        lambda case: _outcome(_Search, *case, True)[1].backjumps > 0,
+        settings=cfg,
+    )
+
+
+def test_backjumping_decides_eight_pattern_formula():
+    # The chronological search exhausts a 1,000,000-node budget on this
+    # gadget; backjumping proves it inconsistent in under 70,000 nodes.
+    g = cnf_to_twowriter_relaxed(EIGHT_PATTERNS)
+    verdict = oracle_consistent(
+        g, MemoryModel.RELAXED_ACYCLIC, OracleLimits(max_rf_candidates=200_000)
+    )
+    assert not verdict.is_consistent
+    assert verdict.axiom == EXHAUSTED
+
+
+def test_backjumps_counted_on_unsat_relaxed_gadget():
+    # 966 nodes and 251 backjumps against the reference's 13,725 nodes
+    g = cnf_to_twowriter_relaxed(CnfFormula(2, tuple(sign_patterns(2, 1, 0))))
+    search = _Search(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
+    reference = ChronologicalSearch(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
+    assert search.run(True) == reference.run(True) == (None, [])
+    assert search.backjumps > 0
+    assert reference.backjumps == 0
+    assert search.rf_nodes < reference.rf_nodes
