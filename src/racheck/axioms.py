@@ -465,6 +465,27 @@ def _suffix_masks(hb: _HbIndex, order: list[EventId]) -> list[int]:
     return later
 
 
+def _relaxed_read_cycle(
+    g: PartialExecutionGraph, rf: ReadsFrom, mo: ModificationOrder, rid: EventId
+) -> list[tuple[EventId, str]]:
+    """The relaxed-read-coherence cycle of a read known to break it: the
+    first write mo-after its own that is po-before it or is read po-before
+    it, the former first, then the first such reader."""
+    readers: dict[EventId, list[EventId]] = {}
+    for r, w in rf.mapping.items():
+        readers.setdefault(w, []).append(r)
+    w1 = rf.mapping[rid]
+    var = g.event(rid).var
+    order = mo.order(var)
+    for w2 in order[mo.position(var)[w1] + 1 :]:
+        if w2.thread == rid.thread and w2.index < rid.index:
+            return [(rid, RF_INV_EDGE), (w1, MO_EDGE), (w2, PO_EDGE)]
+        for r2 in sorted(readers.get(w2, ())):
+            if r2.thread == rid.thread and r2.index < rid.index:
+                return [(rid, RF_INV_EDGE), (w1, MO_EDGE), (w2, RF_EDGE), (r2, PO_EDGE)]
+    raise AssertionError(f"{rid} does not break relaxed-read-coherence")
+
+
 def check_axiom(
     g: PartialExecutionGraph,
     rf: ReadsFrom,
@@ -538,33 +559,36 @@ def check_axiom(
     if ax is Axiom.RELAXED_WRITE_COHERENCE:
         for var in sorted(mo.per_var):
             order = mo.order(var)
-            for i, w1 in enumerate(order):
-                for w2 in order[i + 1 :]:
+            # a write breaks it when a later write of its thread is po-earlier
+            least: dict[str, int] = {}  # thread -> least index among later writes
+            first = None
+            for i in range(len(order) - 1, -1, -1):
+                w1 = order[i]
+                low = least.get(w1.thread, w1.index)
+                if low < w1.index:
+                    first = i
+                least[w1.thread] = min(low, w1.index)
+            if first is not None:
+                w1 = order[first]
+                for w2 in order[first + 1 :]:
                     if w2.thread == w1.thread and w2.index < w1.index:
                         return [(w1, MO_EDGE), (w2, PO_EDGE)]
         return None
 
     if ax is Axiom.RELAXED_READ_COHERENCE:
-        readers: dict[EventId, list[EventId]] = {}
-        for rid, wid in rf.mapping.items():
-            readers.setdefault(wid, []).append(rid)
-        positions: dict[str, dict[EventId, int]] = {}
-        for r in g.reads:
-            if r.var not in positions:
-                positions[r.var] = mo.position(r.var)
-            w1 = rf.mapping[r.id]
-            order = mo.order(r.var)
-            for w2 in order[positions[r.var][w1] + 1 :]:
-                if w2.thread == r.id.thread and w2.index < r.id.index:
-                    return [(r.id, RF_INV_EDGE), (w1, MO_EDGE), (w2, PO_EDGE)]
-                for r2 in sorted(readers.get(w2, ())):
-                    if r2.thread == r.id.thread and r2.index < r.id.index:
-                        return [
-                            (r.id, RF_INV_EDGE),
-                            (w1, MO_EDGE),
-                            (w2, RF_EDGE),
-                            (r2, PO_EDGE),
-                        ]
+        # A read breaks it when a po-earlier event of its thread exposes a
+        # write mo-after its own: a write of the location, or the write an
+        # earlier read of the location took.  Reads are scanned in sorted-id
+        # order, so the first one found is the first of `g.reads`.
+        positions = {var: mo.position(var) for var in mo.per_var}
+        for tid in sorted(g.thread_ids):
+            highest: dict[str, int] = {}  # location -> highest exposed position
+            for ev in g.events_of[tid]:
+                w = rf.mapping[ev.id] if ev.is_read else ev.id
+                pos = positions[ev.var][w]
+                if ev.is_read and highest.get(ev.var, -1) > pos:
+                    return _relaxed_read_cycle(g, rf, mo, ev.id)
+                highest[ev.var] = max(highest.get(ev.var, -1), pos)
         return None
 
     if ax is Axiom.OB_ACYCLICITY:

@@ -38,12 +38,18 @@ undoes its assignment and passes the set up without trying its other
 candidates.  While enumerating (`all_consistent_rfs`) a recorded leaf
 also blames every depth.  So only subtrees without leaves are skipped:
 the search reaches the same leaves in the same order as a chronological
-one, returns the same first witness (rf, and the first mo of
-`_first_mo` for that rf), and meets the same mo budget exits.
+one and returns the same first witness (rf, and the first mo of
+`_first_mo` for that rf).
+
+At a leaf rf is fixed, and every mo axiom then only forces some write of
+a location before another, so `_first_mo` builds the lexicographically
+first valid mo as a topological sort in polynomial time; only the choice
+of rf is hard.
 
 Budgets: `max_rf_candidates` counts the candidates tried (search nodes,
-`_Search.rf_nodes`), `max_mo_permutations` the placements tried by one
-`_first_mo` call.  Exceeding either raises `BudgetExceeded`.
+`_Search.rf_nodes`); exceeding it raises `BudgetExceeded`.  mo synthesis
+needs no budget: `max_mo_permutations` bounds only the orders
+`enumerate_mos` streams.
 
 Happens-before is maintained incrementally as per-event reachability
 bitmasks, snapshotted per search node.
@@ -54,7 +60,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .axioms import Axiom, check_axiom, model_needs_mo
+from .axioms import Axiom, _bits, check_axiom, model_needs_mo
 from .model import (
     RF_INV_EDGE,
     Event,
@@ -78,7 +84,12 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class OracleLimits:
-    """Enumeration ceilings; exceeding any limit raises, never truncates."""
+    """Enumeration ceilings; exceeding any limit raises, never truncates.
+
+    `max_events` bounds the input, `max_rf_candidates` the search nodes
+    (and the rfs `enumerate_rfs` streams), `max_mo_permutations` the
+    orders `enumerate_mos` streams.
+    """
 
     max_events: int = 128
     max_rf_candidates: int = 1_000_000
@@ -138,11 +149,22 @@ def enumerate_mos(g: PartialExecutionGraph, limits: OracleLimits = DEFAULT_LIMIT
 # ---------------------------------------------------------------------------
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _link(reach: list[int], coreach: list[int], heads: int, tails: int) -> tuple[int, int]:
+    """Add every edge from `heads` to `tails` to a transitive closure.
+
+    Returns (sources, targets) as they stood before: the events that reach
+    a head or are one, and those a tail reaches or that are one.
+    """
+    sources, targets = heads, tails
+    for h in _bits(heads):
+        sources |= coreach[h]
+    for t in _bits(tails):
+        targets |= reach[t]
+    for s in _bits(sources):
+        reach[s] |= targets
+    for t in _bits(targets):
+        coreach[t] |= sources
+    return sources, targets
 
 
 class _Encoding:
@@ -167,6 +189,7 @@ class _Encoding:
                 i = self.index[ev.id]
                 self.coreach[i] = prefix
                 prefix |= 1 << i
+        self.po_before = list(self.coreach)  # strict po-prefix, never grows
         self.var_write_mask: dict[str, int] = {}
         for var, writes in g.writes_by_var.items():
             mask = 0
@@ -280,7 +303,7 @@ class _Search:
                 if check_axiom(self.g, rf, None, Axiom.OB_ACYCLICITY) is not None:
                     return False
             if model_needs_mo(self.model):
-                mo = _first_mo(self.g, enc, rf, self.model, self.limits)
+                mo = _first_mo(self.g, enc, rf, self.model)
                 if mo is None:
                     return False
             found.append(rf)
@@ -310,12 +333,7 @@ class _Search:
                     )
                 reach_snap = list(enc.reach)
                 coreach_snap = list(enc.coreach)
-                sources = enc.coreach[w] | (1 << w)
-                targets = enc.reach[r] | (1 << r)
-                for s in _bits(sources):
-                    enc.reach[s] |= targets
-                for t in _bits(targets):
-                    enc.coreach[t] |= sources
+                sources, targets = _link(enc.reach, enc.coreach, 1 << w, 1 << r)
                 self.assignment[r] = w
                 self.assigned_reads.append((r, w, var_mask))
                 added: list[tuple[EventId, EventId]] = []
@@ -373,135 +391,65 @@ def _first_mo(
     enc: _Encoding,
     rf: ReadsFrom,
     model: MemoryModel,
-    limits: OracleLimits,
 ) -> ModificationOrder | None:
     """First modification order satisfying the model's mo axioms for a
-    fixed rf, in lexicographic permutation order; None when none exists."""
-    readers: dict[EventId, list[EventId]] = {}
+    fixed rf, lexicographic over sorted locations and `writes_by_var`
+    order; None when none exists.
+
+    With rf fixed every mo axiom only forces some write of a location
+    before another, so a valid mo is a topological order of those forced
+    edges, and the lexicographically first one takes, position by
+    position, the first write that no remaining write must precede.
+    Under RA (and SRA) w2 precedes w1 when w2 happens-before w1 or a
+    reader of w1; under the relaxed models when w2 is po-before w1 or a
+    reader r of w1, or is read by a read po-before such an r.  SRA needs
+    hb ∪ mo acyclic across locations: the forced edges join a copy of the
+    po ∪ rf closure, and each placed write gains edges to its location's
+    remaining writes.  A write no remaining write reaches keeps that graph
+    acyclic, so every order it has begun extends and the locations never
+    need revisiting.
+    """
+    if model is MemoryModel.RA or model is MemoryModel.SRA:
+        past = enc.coreach
+    else:
+        past = list(enc.po_before)
+        for tid in g.thread_ids:
+            seen = 0  # the writes read po-before the event
+            for ev in g.events_of[tid]:
+                if ev.is_read:
+                    r = enc.index[ev.id]
+                    past[r] |= seen
+                    seen |= 1 << enc.index[rf.mapping[ev.id]]
+    before = list(past)
     for rid, wid in rf.mapping.items():
-        readers.setdefault(wid, []).append(rid)
-    budget = [0]
-
-    def spend() -> None:
-        budget[0] += 1
-        if budget[0] > limits.max_mo_permutations:
-            raise BudgetExceeded("max_mo_permutations", limits.max_mo_permutations)
-
-    def hb(a: EventId, b: EventId) -> bool:
-        return bool(enc.reach[enc.index[a]] & (1 << enc.index[b]))
-
-    variables = sorted(g.writes_by_var)
-
-    if model in (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC, MemoryModel.RA):
-        relaxed = model is not MemoryModel.RA
-
-        def pair_bad(w1: EventId, w2: EventId) -> bool:
-            # placing w1 anywhere before w2 violates an axiom
-            if relaxed:
-                if w2.thread == w1.thread and w2.index < w1.index:
-                    return True
-                for r in readers.get(w1, ()):
-                    if w2.thread == r.thread and w2.index < r.index:
-                        return True
-                    for r2 in readers.get(w2, ()):
-                        if r2.thread == r.thread and r2.index < r.index:
-                            return True
-                return False
-            if hb(w2, w1):
-                return True
-            return any(hb(w2, r) for r in readers.get(w1, ()))
-
-        per_var: dict[str, list[EventId]] = {}
-        for var in variables:
-            writes = [w.id for w in g.writes_by_var[var]]
-            bad = {
-                (a, b): pair_bad(a, b) for a in writes for b in writes if a != b
-            }
-            chosen: list[EventId] | None = None
-
-            def extend(prefix: list[EventId], remaining: list[EventId]) -> list[EventId] | None:
-                if not remaining:
-                    return prefix
-                for i, w in enumerate(remaining):
-                    spend()
-                    if any(bad[(p, w)] for p in prefix):
-                        continue
-                    result = extend(prefix + [w], remaining[:i] + remaining[i + 1 :])
-                    if result is not None:
-                        return result
+        before[enc.index[wid]] |= past[enc.index[rid]]
+    sra = model is MemoryModel.SRA
+    if sra:
+        reach, coreach = list(enc.reach), list(enc.coreach)
+    for mask in enc.var_write_mask.values():
+        for w in _bits(mask):
+            before[w] &= mask & ~(1 << w)
+            if sra:
+                _link(reach, coreach, before[w], 1 << w)
+    if sra:
+        before = coreach  # "must precede" now grows with the placed writes
+    per_var: dict[str, list[EventId]] = {}
+    for var in sorted(g.writes_by_var):
+        writes = [enc.index[w.id] for w in g.writes_by_var[var]]
+        remaining = enc.var_write_mask[var]
+        order: list[EventId] = []
+        while remaining:
+            for w in writes:
+                if remaining >> w & 1 and not before[w] & remaining:
+                    break
+            else:
                 return None
-
-            chosen = extend([], writes)
-            if chosen is None:
-                return None
-            per_var[var] = chosen
-        return ModificationOrder(per_var)
-
-    # SRA: strong-write-coherence couples locations; search jointly with an
-    # incremental cycle check over po ∪ rf ∪ mo edges.
-    extra: dict[EventId, list[EventId]] = {}
-
-    def reaches(a: EventId, b: EventId) -> bool:
-        if hb(a, b):
-            return True
-        seen = {a}
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            for nxt in extra.get(node, ()):
-                if nxt == b or hb(nxt, b):
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-            i = enc.index[node]
-            for j in _bits(enc.reach[i]):
-                tgt = enc.events[j].id
-                if tgt in extra and tgt not in seen:
-                    seen.add(tgt)
-                    stack.append(tgt)
-        return False
-
-    def rc_bad(w1: EventId, w2: EventId) -> bool:
-        return any(hb(w2, r) for r in readers.get(w1, ()))
-
-    per_var_sra: dict[str, list[EventId]] = {}
-
-    def place(var_idx: int) -> bool:
-        if var_idx == len(variables):
-            return True
-        var = variables[var_idx]
-        writes = [w.id for w in g.writes_by_var[var]]
-
-        def extend(prefix: list[EventId], remaining: list[EventId]) -> bool:
-            if not remaining:
-                per_var_sra[var] = list(prefix)
-                if place(var_idx + 1):
-                    return True
-                del per_var_sra[var]
-                return False
-            for i, w in enumerate(remaining):
-                spend()
-                if prefix:
-                    prev = prefix[-1]
-                    if any(rc_bad(p, w) for p in prefix):
-                        continue
-                    if reaches(w, prev):
-                        continue
-                    extra.setdefault(prev, []).append(w)
-                else:
-                    prev = None
-                if extend(prefix + [w], remaining[:i] + remaining[i + 1 :]):
-                    return True
-                if prev is not None:
-                    extra[prev].pop()
-            return False
-
-        return extend([], writes)
-
-    if place(0):
-        return ModificationOrder(per_var_sra)
-    return None
+            remaining ^= 1 << w
+            order.append(enc.events[w].id)
+            if sra:
+                _link(reach, coreach, 1 << w, remaining)
+        per_var[var] = order
+    return ModificationOrder(per_var)
 
 
 def _unmatched_read(g: PartialExecutionGraph) -> EventId | None:

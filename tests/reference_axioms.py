@@ -5,8 +5,10 @@ before it moved to per-event reachability bitsets: `hb_reaches` rebuilds
 the po/rf adjacency per query, `compute_ob` seeds the observed order by a
 search from every event of the anchor's past and recomputes the full
 closure after each round of the triplet rule, and the coherence checks
-search backwards from each write or read.  The differential tests hold
-the library to these results, certificates included.
+search backwards from each write or read.  The relaxed coherence checks
+scan the whole mo suffix of every write and read, where the library makes
+one pass per location.  The differential tests hold the library to these
+results, certificates included.
 """
 
 from __future__ import annotations
@@ -182,8 +184,8 @@ def _ob_cycle(ob, start):
 
 
 def check_axiom(g, rf, mo, ax):
-    """The reference result of one hb-reading axiom (and the relaxed read
-    check, which scans mo the same way)."""
+    """The reference result of one hb-reading axiom, and of the relaxed
+    checks, which scan the whole mo suffix of every write and read."""
     if ax is Axiom.WRITE_COHERENCE:
         pred = _predecessors(g, rf)
         for var in sorted(mo.per_var):
@@ -226,6 +228,15 @@ def check_axiom(g, rf, mo, ax):
                     return [(r.id, RF_INV_EDGE), (w1, HB_EDGE), (w2, HB_EDGE)]
         return None
 
+    if ax is Axiom.RELAXED_WRITE_COHERENCE:
+        for var in sorted(mo.per_var):
+            order = mo.order(var)
+            for i, w1 in enumerate(order):
+                for w2 in order[i + 1 :]:
+                    if w2.thread == w1.thread and w2.index < w1.index:
+                        return [(w1, MO_EDGE), (w2, PO_EDGE)]
+        return None
+
     if ax is Axiom.RELAXED_READ_COHERENCE:
         readers = {}
         for rid, wid in rf.mapping.items():
@@ -264,6 +275,7 @@ REFERENCE_AXIOMS = (
     Axiom.WRITE_COHERENCE,
     Axiom.READ_COHERENCE,
     Axiom.WEAK_READ_COHERENCE,
+    Axiom.RELAXED_WRITE_COHERENCE,
     Axiom.RELAXED_READ_COHERENCE,
     Axiom.OB_ACYCLICITY,
 )

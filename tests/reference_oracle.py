@@ -1,20 +1,39 @@
-"""Chronological reference for the oracle's rf search.
+"""References for the oracle's rf search and its mo synthesis.
 
-This is the search that `racheck.oracle._Search.run` ran before it
-learned conflict-directed backjumping: a failed candidate only moves the
-search on to the next candidate of the same read, and a read that runs
-out of candidates returns to the read assigned just before it.  The
-candidate order, the prunes, the leaf check and the budgets are those of
-the library, so the differential tests can hold the backjumping search to
-the same leaves, the same first witness, the same `all_consistent_rfs`
+`ChronologicalSearch` is the search that `racheck.oracle._Search.run` ran
+before it learned conflict-directed backjumping: a failed candidate only
+moves the search on to the next candidate of the same read, and a read
+that runs out of candidates returns to the read assigned just before it.
+The candidate order, the prunes, the leaf check and the budget are those
+of the library, so the differential tests can hold the backjumping search
+to the same leaves, the same first witness, the same `all_consistent_rfs`
 and the same budget exits, with no more nodes.
+
+`permutation_first_mo` is the mo synthesis that `racheck.oracle._first_mo`
+ran before it became a topological sort: a depth-first search over
+permutations of each location's writes (one joint search over all
+locations under SRA), cut off after `max_mo_permutations` placements.
+The differential tests hold the topological sort to its result wherever
+it stays within that budget.
 """
 
 from __future__ import annotations
 
-from racheck.axioms import Axiom, check_axiom, model_needs_mo
-from racheck.model import EventId, ModificationOrder, ReadsFrom
-from racheck.oracle import BudgetExceeded, _bits, _first_mo, _Search
+from racheck.axioms import Axiom, _bits, check_axiom, model_needs_mo
+from racheck.model import (
+    EventId,
+    MemoryModel,
+    ModificationOrder,
+    PartialExecutionGraph,
+    ReadsFrom,
+)
+from racheck.oracle import (
+    BudgetExceeded,
+    OracleLimits,
+    _Encoding,
+    _first_mo,
+    _Search,
+)
 
 
 class ChronologicalSearch(_Search):
@@ -35,7 +54,7 @@ class ChronologicalSearch(_Search):
                 if check_axiom(self.g, rf, None, Axiom.OB_ACYCLICITY) is not None:
                     return False
             if model_needs_mo(self.model):
-                mo = _first_mo(self.g, enc, rf, self.model, self.limits)
+                mo = _first_mo(self.g, enc, rf, self.model)
                 if mo is None:
                     return False
             found.append(rf)
@@ -99,3 +118,139 @@ class ChronologicalSearch(_Search):
 
         descend(0)
         return (witness[0] if witness else None), found
+
+
+def permutation_first_mo(
+    g: PartialExecutionGraph,
+    enc: _Encoding,
+    rf: ReadsFrom,
+    model: MemoryModel,
+    limits: OracleLimits,
+) -> ModificationOrder | None:
+    """First modification order satisfying the model's mo axioms for a
+    fixed rf, in lexicographic permutation order; None when none exists."""
+    readers: dict[EventId, list[EventId]] = {}
+    for rid, wid in rf.mapping.items():
+        readers.setdefault(wid, []).append(rid)
+    budget = [0]
+
+    def spend() -> None:
+        budget[0] += 1
+        if budget[0] > limits.max_mo_permutations:
+            raise BudgetExceeded("max_mo_permutations", limits.max_mo_permutations)
+
+    def hb(a: EventId, b: EventId) -> bool:
+        return bool(enc.reach[enc.index[a]] & (1 << enc.index[b]))
+
+    variables = sorted(g.writes_by_var)
+
+    if model in (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC, MemoryModel.RA):
+        relaxed = model is not MemoryModel.RA
+
+        def pair_bad(w1: EventId, w2: EventId) -> bool:
+            # placing w1 anywhere before w2 violates an axiom
+            if relaxed:
+                if w2.thread == w1.thread and w2.index < w1.index:
+                    return True
+                for r in readers.get(w1, ()):
+                    if w2.thread == r.thread and w2.index < r.index:
+                        return True
+                    for r2 in readers.get(w2, ()):
+                        if r2.thread == r.thread and r2.index < r.index:
+                            return True
+                return False
+            if hb(w2, w1):
+                return True
+            return any(hb(w2, r) for r in readers.get(w1, ()))
+
+        per_var: dict[str, list[EventId]] = {}
+        for var in variables:
+            writes = [w.id for w in g.writes_by_var[var]]
+            bad = {
+                (a, b): pair_bad(a, b) for a in writes for b in writes if a != b
+            }
+            chosen: list[EventId] | None = None
+
+            def extend(prefix: list[EventId], remaining: list[EventId]) -> list[EventId] | None:
+                if not remaining:
+                    return prefix
+                for i, w in enumerate(remaining):
+                    spend()
+                    if any(bad[(p, w)] for p in prefix):
+                        continue
+                    result = extend(prefix + [w], remaining[:i] + remaining[i + 1 :])
+                    if result is not None:
+                        return result
+                return None
+
+            chosen = extend([], writes)
+            if chosen is None:
+                return None
+            per_var[var] = chosen
+        return ModificationOrder(per_var)
+
+    # SRA: strong-write-coherence couples locations; search jointly with an
+    # incremental cycle check over po ∪ rf ∪ mo edges.
+    extra: dict[EventId, list[EventId]] = {}
+
+    def reaches(a: EventId, b: EventId) -> bool:
+        if hb(a, b):
+            return True
+        seen = {a}
+        stack = [a]
+        while stack:
+            node = stack.pop()
+            for nxt in extra.get(node, ()):
+                if nxt == b or hb(nxt, b):
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+            i = enc.index[node]
+            for j in _bits(enc.reach[i]):
+                tgt = enc.events[j].id
+                if tgt in extra and tgt not in seen:
+                    seen.add(tgt)
+                    stack.append(tgt)
+        return False
+
+    def rc_bad(w1: EventId, w2: EventId) -> bool:
+        return any(hb(w2, r) for r in readers.get(w1, ()))
+
+    per_var_sra: dict[str, list[EventId]] = {}
+
+    def place(var_idx: int) -> bool:
+        if var_idx == len(variables):
+            return True
+        var = variables[var_idx]
+        writes = [w.id for w in g.writes_by_var[var]]
+
+        def extend(prefix: list[EventId], remaining: list[EventId]) -> bool:
+            if not remaining:
+                per_var_sra[var] = list(prefix)
+                if place(var_idx + 1):
+                    return True
+                del per_var_sra[var]
+                return False
+            for i, w in enumerate(remaining):
+                spend()
+                if prefix:
+                    prev = prefix[-1]
+                    if any(rc_bad(p, w) for p in prefix):
+                        continue
+                    if reaches(w, prev):
+                        continue
+                    extra.setdefault(prev, []).append(w)
+                else:
+                    prev = None
+                if extend(prefix + [w], remaining[:i] + remaining[i + 1 :]):
+                    return True
+                if prev is not None:
+                    extra[prev].pop()
+            return False
+
+        return extend([], writes)
+
+    if place(0):
+        return ModificationOrder(per_var_sra)
+    return None

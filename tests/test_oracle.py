@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import pytest
 from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
@@ -23,13 +26,14 @@ from racheck import (
     solve,
     verify,
 )
+from racheck import oracle
 from racheck.axioms import model_needs_mo
 from racheck.harness import FuzzParams
 from racheck.oracle import EXHAUSTED, _Search, _unmatched_read
 from racheck.reductions import CnfFormula
 
 import fixtures as fx
-from reference_oracle import ChronologicalSearch
+from reference_oracle import ChronologicalSearch, permutation_first_mo
 
 E = EventId
 
@@ -41,6 +45,8 @@ CANONICAL_MODELS = [
     MemoryModel.RELAXED_ACYCLIC,
     MemoryModel.CM,
 ]
+
+MO_MODELS = [MemoryModel.SRA, MemoryModel.RA, MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC]
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +298,8 @@ def formulas(draw):
 def oracle_cases(draw):
     """A multi-writer random graph of up to 16 events or a small SAT
     gadget, with no unmatched read (the entry points decide those before
-    any search), one of the six canonical models, and budgets small
-    enough that both limits are met now and then."""
+    any search), one of the six canonical models, and a node budget small
+    enough that it is met now and then."""
     if draw(st.booleans()):
         g = random_graph(
             FuzzParams(
@@ -308,10 +314,7 @@ def oracle_cases(draw):
     else:
         g = GADGETS[draw(st.sampled_from(sorted(GADGETS)))](draw(formulas()))
     assume(_unmatched_read(g) is None)
-    limits = OracleLimits(
-        max_rf_candidates=draw(st.sampled_from([30, 20_000])),
-        max_mo_permutations=draw(st.sampled_from([30, 2_000])),
-    )
+    limits = OracleLimits(max_rf_candidates=draw(st.sampled_from([30, 20_000])))
     return g, draw(st.sampled_from(CANONICAL_MODELS)), limits
 
 
@@ -334,15 +337,15 @@ def test_backjumping_matches_chronological_search(case):
         assert search.rf_nodes <= ref_search.rf_nodes
         # Only subtrees without leaves are skipped, so every outcome the
         # reference reaches within the node budget is reproduced exactly:
-        # the first witness (rf and mo), the enumerated rfs in order, and
-        # the mo budget exit.  Where the reference runs out of nodes, the
-        # smaller search may still decide.
+        # the first witness (rf and mo) and the enumerated rfs in order.
+        # Where the reference runs out of nodes, the smaller search may
+        # still decide.
         if ref != ("budget", "max_rf_candidates"):
             assert out == ref, stop_at_first
 
 
 def test_oracle_cases_reach_budgets_and_backjumps():
-    # the differential test above sees both budget exits and backjumps
+    # the differential test above sees the node budget exit and backjumps
     cfg = settings(max_examples=250, derandomize=True, database=None, phases=[Phase.generate])
 
     def outcome_is(expected):
@@ -352,7 +355,6 @@ def test_oracle_cases_reach_budgets_and_backjumps():
         return check
 
     find(oracle_cases(), outcome_is(("budget", "max_rf_candidates")), settings=cfg)
-    find(oracle_cases(), outcome_is(("budget", "max_mo_permutations")), settings=cfg)
     find(
         oracle_cases(),
         lambda case: _outcome(_Search, *case, True)[1].backjumps > 0,
@@ -380,3 +382,145 @@ def test_backjumps_counted_on_unsat_relaxed_gadget():
     assert search.backjumps > 0
     assert reference.backjumps == 0
     assert search.rf_nodes < reference.rf_nodes
+
+
+# ---------------------------------------------------------------------------
+# mo synthesis against the permutation reference
+# ---------------------------------------------------------------------------
+
+# placements the permutation reference may try per leaf before it gives up
+REFERENCE_MO_LIMITS = OracleLimits(max_mo_permutations=200)
+# leaves without an mo and with at most this many orders in all are checked
+# against every order, the first few of each input
+MAX_CHECKED_ORDERS = math.factorial(6)
+MAX_CHECKED_LEAVES = 5
+
+
+@st.composite
+def mo_cases(draw):
+    """A multi-writer random graph with at most 7 writes per location, or
+    a small SAT gadget, under one of the four models that need mo."""
+    if draw(st.booleans()):
+        g = random_graph(
+            FuzzParams(
+                seed=draw(st.integers(0, 10**6)),
+                num_threads=draw(st.integers(2, 4)),
+                num_locations=draw(st.integers(1, 3)),
+                num_events=draw(st.integers(6, 16)),
+                value_range=draw(st.integers(2, 3)),
+                writer_bound=None,
+            )
+        )
+        assume(all(len(ws) <= 7 for ws in g.writes_by_var.values()))
+    else:
+        g = GADGETS[draw(st.sampled_from(sorted(GADGETS)))](draw(formulas()))
+    assume(_unmatched_read(g) is None)
+    return g, draw(st.sampled_from(MO_MODELS))
+
+
+def _orders(g):
+    return math.prod(math.factorial(len(ws)) for ws in g.writes_by_var.values())
+
+
+def _checked_leaves(g, m):
+    """Run the enumerating search of g under m for up to 200 nodes and
+    check the mo of each leaf: it verifies, it is the permutation
+    reference's wherever that stays within its budget, and on leaves with
+    few orders it is None only when no order verifies.  Returns (mo found,
+    reference over budget) per leaf."""
+    first_mo = oracle._first_mo
+    orders = _orders(g)
+    outcomes = []
+    exhausted = []
+
+    def checked(g, enc, rf, model):
+        mo = first_mo(g, enc, rf, model)
+        if mo is not None:
+            assert verify(g, rf, mo, model).is_consistent
+        elif orders <= MAX_CHECKED_ORDERS and len(exhausted) < MAX_CHECKED_LEAVES:
+            assert not any(verify(g, rf, o, model).is_consistent for o in enumerate_mos(g))
+            exhausted.append(rf)
+        try:
+            ref = permutation_first_mo(g, enc, rf, model, REFERENCE_MO_LIMITS)
+        except BudgetExceeded:
+            over_budget = True
+        else:
+            over_budget = False
+            assert mo == ref
+        outcomes.append((mo is not None, over_budget))
+        return mo
+
+    with mock.patch.object(oracle, "_first_mo", checked):
+        try:
+            all_consistent_rfs(g, m, OracleLimits(max_rf_candidates=200))
+        except BudgetExceeded:
+            pass  # the leaves reached so far were checked
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mo_cases())
+def test_first_mo_matches_permutation_search(case):
+    _checked_leaves(*case)
+
+
+def test_mo_cases_reach_every_outcome():
+    # the differential test above sees leaves with and without an mo, with
+    # few enough orders to check them all, and leaves where the reference
+    # runs out of placements while the topological sort finds an mo
+    cfg = settings(
+        max_examples=200, deadline=None, derandomize=True, database=None, phases=[Phase.generate]
+    )
+
+    for outcome in ((True, False), (False, False), (True, True)):
+        find(mo_cases(), lambda case: outcome in _checked_leaves(*case), settings=cfg)
+    find(
+        mo_cases(),
+        lambda case: _orders(case[0]) <= MAX_CHECKED_ORDERS
+        and (False, False) in _checked_leaves(*case),
+        settings=cfg,
+    )
+
+
+def test_write_heavy_graphs_decide_within_default_limits():
+    # The permutation search ran out of its 10,000 placements on both
+    # graphs, under every model on the first.
+    g = random_graph(
+        FuzzParams(
+            seed=90008, num_threads=3, num_locations=2, num_events=16, value_range=3, writer_bound=None
+        )
+    )
+    cases = [(g, m) for m in MO_MODELS]
+    g = random_graph(
+        FuzzParams(
+            seed=7, num_threads=3, num_locations=1, num_events=14, value_range=3, writer_bound=None
+        )
+    )
+    assert len(g.writes_by_var["x1"]) == 12
+    cases.append((g, MemoryModel.SRA))
+    for g, m in cases:
+        verdict = oracle_consistent(g, m)
+        assert verdict.is_consistent, m
+        assert verify(g, verdict.rf, verdict.mo, m).is_consistent, m
+
+
+def test_sra_mo_avoids_cycles_through_earlier_locations():
+    # x's order t1:1 before t2:0 closes the path t3:0 ->rf t1:0 ->po t1:1
+    # ->mo t2:0 ->po t2:1, so y must put t3:0 first although RA, with no
+    # such coupling, keeps the writes_by_var order
+    g = build_graph(
+        [
+            ("t1", [("r", "y", 2), ("w", "x", 1)]),
+            ("t2", [("w", "x", 2), ("w", "y", 1)]),
+            ("t3", [("w", "y", 2)]),
+        ]
+    )
+    x_order = [E("t1", 1), E("t2", 0)]
+    expected = {
+        MemoryModel.SRA: ModificationOrder({"x": x_order, "y": [E("t3", 0), E("t2", 1)]}),
+        MemoryModel.RA: ModificationOrder({"x": x_order, "y": [E("t2", 1), E("t3", 0)]}),
+    }
+    for m, mo in expected.items():
+        verdict = oracle_consistent(g, m)
+        assert verdict.mo == mo, m
+        assert verify(g, verdict.rf, mo, m).is_consistent, m
