@@ -59,16 +59,12 @@ from .reductions import (
     graph_to_onewriter,
 )
 from .solver import (
-    NoLaterWrite,
     NoMatchingWrite,
     NotOneWriter,
     SolverTrace,
     Violation,
     derive_mo,
-    initialize_rf,
-    next_violation,
     solve,
-    update_rf,
 )
 from .traceio import (
     ParseError,

@@ -117,24 +117,25 @@ def _successors(g: PartialExecutionGraph, rf: ReadsFrom) -> dict[EventId, list[t
 class _HbIndex:
     """Happens-before (po ∪ rf)+ of one graph and rf, as per-event bitsets.
 
-    Events are numbered in sorted EventId order, so ascending bit order is
-    the order the checks scan and report in.  `reach[i]` holds the events
-    reachable from event i by one or more po/rf edges and `back[i]` the
-    events that reach i; an event on a po ∪ rf cycle holds its own bit.
+    Events take the graph's numbering, sorted EventId order, so ascending
+    bit order is the order the checks scan and report in.  `reach[i]`
+    holds the events reachable from event i by one or more po/rf edges and
+    `back[i]` the events that reach i; an event on a po ∪ rf cycle holds
+    its own bit.
     """
 
     def __init__(self, g: PartialExecutionGraph, rf: ReadsFrom):
-        self.ids: list[EventId] = sorted(ev.id for ev in g.events())
-        self.pos: dict[EventId, int] = {eid: i for i, eid in enumerate(self.ids)}
+        num = g.numbering
+        self.ids: list[EventId] = [ev.id for ev in num.events]
+        self.pos: dict[EventId, int] = num.index
         pos = self.pos
         n = len(self.ids)
         succ: list[list[int]] = [[] for _ in range(n)]
         pred: list[list[int]] = [[] for _ in range(n)]
-        for tid in g.thread_ids:
-            evs = g.events_of[tid]
-            for a, b in zip(evs, evs[1:]):
-                succ[pos[a.id]].append(pos[b.id])
-                pred[pos[b.id]].append(pos[a.id])
+        for start, end in num.spans:
+            for i in range(start + 1, end):
+                succ[i - 1].append(i)
+                pred[i].append(i - 1)
         for rid, wid in rf.mapping.items():
             succ[pos[wid]].append(pos[rid])
             pred[pos[rid]].append(pos[wid])
@@ -544,9 +545,7 @@ def check_axiom(
 
     if ax is Axiom.WEAK_READ_COHERENCE:
         hb = _HbIndex(g, rf)
-        writes = {
-            var: sum(1 << hb.pos[w.id] for w in ws) for var, ws in g.writes_by_var.items()
-        }
+        writes = g.numbering.write_mask
         for r in g.reads:
             w1 = rf.mapping[r.id]
             # writes of the location hb-before the read and hb-after its write

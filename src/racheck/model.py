@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 READ = "r"
@@ -115,6 +116,10 @@ class PartialExecutionGraph:
             (e for e in self._by_id.values() if e.is_read), key=lambda e: e.id
         )
 
+    @cached_property
+    def numbering(self) -> "Numbering":
+        return Numbering(self)
+
     def events(self) -> Iterable[Event]:
         for tid in self.thread_ids:
             yield from self.events_of[tid]
@@ -142,6 +147,37 @@ class PartialExecutionGraph:
 
     def __repr__(self) -> str:
         return f"PartialExecutionGraph({self.num_events} events, {len(self.thread_ids)} threads)"
+
+
+class Numbering:
+    """The integer numbering of a graph's events that the engines share.
+
+    Events are numbered in sorted EventId order, so threads come in sorted
+    thread-id order and each thread is one contiguous ascending span of
+    numbers: `spans[t]` is thread t's (start, end), and event i's
+    po-successor is i + 1 while i + 1 < end.  `var_writes` lists each
+    location's writes in `writes_by_var` order and `write_mask` has their
+    bits set.  Shared through the graph's cache, so never mutated.
+    """
+
+    def __init__(self, g: PartialExecutionGraph):
+        self.events: list[Event] = []
+        self.index: dict[EventId, int] = {}
+        self.thread_of: list[int] = []
+        self.spans: list[tuple[int, int]] = []
+        for t, tid in enumerate(sorted(g.thread_ids)):
+            start = len(self.events)
+            for ev in g.events_of[tid]:
+                self.index[ev.id] = len(self.events)
+                self.events.append(ev)
+                self.thread_of.append(t)
+            self.spans.append((start, len(self.events)))
+        self.var_writes: dict[str, list[int]] = {
+            var: [self.index[w.id] for w in writes] for var, writes in g.writes_by_var.items()
+        }
+        self.write_mask: dict[str, int] = {
+            var: sum(1 << w for w in writes) for var, writes in self.var_writes.items()
+        }
 
 
 def build_graph(threads: list[tuple[str, list[tuple[str, str, int]]]]) -> PartialExecutionGraph:

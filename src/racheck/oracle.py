@@ -16,7 +16,9 @@ completion can satisfy the queried model:
    it too;
  * under the relaxed models the per-location write-order constraints
    forced by the axioms only grow with the assignment, so a forced
-   cycle prunes.
+   cycle prunes.  The forced order is kept as a transitive closure like
+   happens-before; the edges a new rf edge r <- w forces all run into or
+   out of w, so they close a cycle iff w then reaches itself.
 
 The search backjumps over conflict sets (Prosser's CBJ).  Each prune
 names the depths of the assigned reads it rests on:
@@ -51,8 +53,9 @@ Budgets: `max_rf_candidates` counts the candidates tried (search nodes,
 needs no budget: `max_mo_permutations` bounds only the orders
 `enumerate_mos` streams.
 
-Happens-before is maintained incrementally as per-event reachability
-bitmasks, snapshotted per search node.
+Happens-before and the relaxed forced order are maintained incrementally
+as per-event reachability bitmasks over the graph's shared numbering,
+snapshotted per search node.
 """
 
 from __future__ import annotations
@@ -168,34 +171,21 @@ def _link(reach: list[int], coreach: list[int], heads: int, tails: int) -> tuple
 
 
 class _Encoding:
-    """Integer-indexed view of a graph with po reachability masks."""
+    """The graph's numbering with po reachability masks."""
 
     def __init__(self, g: PartialExecutionGraph):
-        self.g = g
-        self.events: list[Event] = sorted(g.events(), key=lambda e: e.id)
-        self.index: dict[EventId, int] = {ev.id: i for i, ev in enumerate(self.events)}
+        num = g.numbering
+        self.events = num.events
+        self.index = num.index
         n = len(self.events)
         self.reach = [0] * n  # strict forward po-closure, grows with rf edges
         self.coreach = [0] * n
-        for tid in g.thread_ids:
-            evs = g.events_of[tid]
-            suffix = 0
-            for ev in reversed(evs):
-                i = self.index[ev.id]
-                self.reach[i] = suffix
-                suffix |= 1 << i
-            prefix = 0
-            for ev in evs:
-                i = self.index[ev.id]
-                self.coreach[i] = prefix
-                prefix |= 1 << i
+        for start, end in num.spans:
+            for i in range(start, end):
+                self.reach[i] = (1 << end) - (2 << i)
+                self.coreach[i] = (1 << i) - (1 << start)
         self.po_before = list(self.coreach)  # strict po-prefix, never grows
-        self.var_write_mask: dict[str, int] = {}
-        for var, writes in g.writes_by_var.items():
-            mask = 0
-            for w in writes:
-                mask |= 1 << self.index[w.id]
-            self.var_write_mask[var] = mask
+        self.var_write_mask = num.write_mask
 
 
 class _Search:
@@ -217,53 +207,34 @@ class _Search:
         self.backjumps = 0  # returns that skipped a read's remaining candidates
         self.assignment: dict[int, int] = {}  # read idx -> write idx
         self.assigned_reads: list[tuple[int, int, int]] = []  # (read, write, var mask)
-        # relaxed forced-order digraph per location
-        self.forced: dict[str, dict[EventId, set[EventId]]] = {}
+        # the relaxed forced write order, as a closure like reach/coreach
+        self.mo_reach = [0] * g.num_events
+        self.mo_coreach = [0] * g.num_events
 
-    # -- relaxed forced-order bookkeeping --------------------------------
+    def _forces_mo_cycle(self, r: int, w: int, var_mask: int) -> bool:
+        """Add the write order forced by r taking w; True iff it is cyclic.
 
-    def _forced_new_pairs(self, rid: EventId, wid: EventId) -> list[tuple[EventId, EventId]]:
-        rev = self.g.event(rid)
-        pairs: list[tuple[EventId, EventId]] = []
-        for w in self.g.writes_by_var[rev.var]:
-            if w.id != wid and w.id.thread == rid.thread and w.id.index < rid.index:
-                pairs.append((w.id, wid))
-        for other, ow, _ in self.assigned_reads:
-            oid = self.enc.events[other].id
-            if oid.thread != rid.thread or self.g.event(oid).var != rev.var:
-                continue
-            owid = self.enc.events[ow].id
-            if oid.index < rid.index and owid != wid:
-                pairs.append((owid, wid))
-            elif oid.index > rid.index and wid != owid:
-                pairs.append((wid, owid))
-        return pairs
-
-    def _forced_cycle(self, var: str) -> bool:
-        adj = self.forced.get(var, {})
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: dict[EventId, int] = {}
-        for root in adj:
-            if color.get(root, WHITE) != WHITE:
-                continue
-            stack = [(root, iter(adj.get(root, ())))]
-            color[root] = GREY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    c = color.get(nxt, WHITE)
-                    if c == GREY:
-                        return True
-                    if c == WHITE:
-                        color[nxt] = GREY
-                        stack.append((nxt, iter(adj.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return False
+        The writes of r's location po-before r, and those taken by assigned
+        reads of it po-before r, precede w; the writes taken by such reads
+        po-after r follow it.  Every new edge ends at w or starts at it, so
+        a new cycle passes through w.
+        """
+        before = self.enc.po_before
+        heads = before[r] & var_mask
+        tails = 0
+        for q, wq, qmask in self.assigned_reads:
+            if qmask == var_mask:
+                if before[r] >> q & 1:
+                    heads |= 1 << wq
+                elif before[q] >> r & 1:
+                    tails |= 1 << wq
+        heads &= ~(1 << w)
+        tails &= ~(1 << w)
+        if heads:
+            _link(self.mo_reach, self.mo_coreach, heads, 1 << w)
+        if tails:
+            _link(self.mo_reach, self.mo_coreach, 1 << w, tails)
+        return bool(self.mo_reach[w] >> w & 1)
 
     # -- conflict sets ----------------------------------------------------
 
@@ -333,10 +304,11 @@ class _Search:
                     )
                 reach_snap = list(enc.reach)
                 coreach_snap = list(enc.coreach)
+                if self.prune_relaxed:
+                    mo_snap = list(self.mo_reach), list(self.mo_coreach)
                 sources, targets = _link(enc.reach, enc.coreach, 1 << w, 1 << r)
                 self.assignment[r] = w
                 self.assigned_reads.append((r, w, var_mask))
-                added: list[tuple[EventId, EventId]] = []
                 # Every prune's conflict set holds the depth of at least
                 # one assigned read, so 0 means "not pruned".
                 conflict = 0
@@ -351,28 +323,19 @@ class _Search:
                                 enc.reach[wq] | (1 << wq), enc.coreach[q] | (1 << q)
                             )
                             break
-                if not conflict and self.prune_relaxed:
-                    adj = self.forced.setdefault(rev.var, {})
-                    for a, b in self._forced_new_pairs(rev.id, wid):
-                        successors = adj.setdefault(a, set())
-                        if b not in successors:  # an edge may be re-forced later
-                            successors.add(b)
-                            added.append((a, b))
-                    if added and self._forced_cycle(rev.var):
-                        conflict = self._depths_of_location(var_mask)
+                if not conflict and self.prune_relaxed and self._forces_mo_cycle(r, w, var_mask):
+                    conflict = self._depths_of_location(var_mask)
                 if not conflict:
                     done, conflict = descend(depth + 1)
                     if done:
                         return True, 0
                 # undo
-                if added:
-                    adj = self.forced[rev.var]
-                    for a, b in added:
-                        adj[a].discard(b)
                 self.assigned_reads.pop()
                 del self.assignment[r]
                 enc.reach = reach_snap
                 enc.coreach = coreach_snap
+                if self.prune_relaxed:
+                    self.mo_reach, self.mo_coreach = mo_snap
                 if not conflict & me:
                     # the failure does not depend on this read: no other
                     # candidate can help, so jump back past it

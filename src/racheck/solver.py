@@ -20,12 +20,11 @@ The relaxed coherence pattern needs no hb: one po-order prefix pass per
 thread finds the least relaxed-coherent rf, and the acyclic variant then
 runs the topological pass with that rf fixed as its causality test.
 
-The step API (`initialize_rf`, `next_violation`, `update_rf`) exposes the
-repair loop the pass replaces: start from the po-earliest matching
-writes and repeatedly raise the first violating read.  Each repair is a
-strict step up in the pointwise po order on rf, so the loop's fixpoint
-is below every coherent rf; the tests use it as the reference for
-`solve`.
+`tests/reference_solver.py` keeps the repair loop the pass replaces:
+start from the po-earliest matching writes and repeatedly raise the
+first violating read.  Each repair is a strict step up in the pointwise
+po order on rf, so the loop's fixpoint is below every coherent rf; the
+tests use it as the reference for `solve`.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .model import (
     PO_EDGE,
     RF_EDGE,
     RF_INV_EDGE,
-    Event,
     EventId,
     MemoryModel,
     ModificationOrder,
@@ -61,12 +59,6 @@ class NotOneWriter(Exception):
 class NoMatchingWrite(Exception):
     def __init__(self, read_id: EventId):
         super().__init__(f"no matching write for read {read_id}")
-        self.read_id = read_id
-
-
-class NoLaterWrite(Exception):
-    def __init__(self, read_id: EventId):
-        super().__init__(f"no matching write late enough for read {read_id}")
         self.read_id = read_id
 
 
@@ -92,7 +84,7 @@ class SolverIteration:
 class SolverTrace:
     """What `solve` did to rf: one iteration per read it raised above its
     initial binding (the violation's `write`); the blocker is the lower
-    bound that forced the raise, and `update_rf` replays each step.
+    bound that forced the raise, and the replacement the write it took.
     `final_rf` is the rf the solver ended on (None only when some read has
     no matching write at all); a read stuck on a cycle holds the write it
     waits for, so certificates replay against it."""
@@ -126,29 +118,12 @@ def derive_mo(g: PartialExecutionGraph) -> ModificationOrder:
 
 class _State:
     def __init__(self, g: PartialExecutionGraph):
-        self.g = g
-        self.events: list[Event] = []
-        self.index: dict[EventId, int] = {}
-        # events laid out thread by thread in sorted thread-id order
-        self.thread_of: list[int] = []
-        self.thread_span: list[tuple[int, int]] = []
-        for t, tid in enumerate(sorted(g.thread_ids)):
-            start = len(self.events)
-            for ev in g.events_of[tid]:
-                self.index[ev.id] = len(self.events)
-                self.events.append(ev)
-                self.thread_of.append(t)
-            self.thread_span.append((start, len(self.events)))
-        n = len(self.events)
-        self.po_next = [-1] * n
-        for start, end in self.thread_span:
-            for e in range(start, end - 1):
-                self.po_next[e] = e + 1
+        num = g.numbering
+        self.events = num.events
+        self.thread_of = num.thread_of
+        self.thread_span = num.spans
         # writes per location in writer-thread program order
-        self.var_writes: dict[str, list[int]] = {
-            var: [self.index[w.id] for w in writes]
-            for var, writes in g.writes_by_var.items()
-        }
+        self.var_writes = num.var_writes
         self.write_pos: dict[int, int] = {}
         # (location, value) -> positions of the matching writes, ascending
         self.match_pos: dict[tuple[str, int], list[int]] = {}
@@ -156,68 +131,13 @@ class _State:
             for pos, w in enumerate(writes):
                 self.write_pos[w] = pos
                 self.match_pos.setdefault((var, self.events[w].val), []).append(pos)
-        self.reads: list[int] = [self.index[r.id] for r in g.reads]
+        self.reads: list[int] = [num.index[r.id] for r in g.reads]
         self.rf: dict[int, int] = {}
         self.rf_pos: dict[int, int] = {}
-        self.readers: dict[int, set[int]] = {}
 
     def assign(self, r: int, w: int) -> None:
-        old = self.rf.get(r)
-        if old is not None:
-            self.readers[old].discard(r)
         self.rf[r] = w
         self.rf_pos[r] = self.write_pos[w]
-        self.readers.setdefault(w, set()).add(r)
-
-    def forward_set(self, start: int) -> bytearray:
-        """Events reachable from start over po and current rf edges.
-
-        The start itself is marked only to stop re-expansion; callers only
-        query events distinct from it.
-        """
-        seen = bytearray(len(self.events))
-        stack = [start]
-        seen[start] = 1
-        while stack:
-            e = stack.pop()
-            nxt = self.po_next[e]
-            if nxt >= 0 and not seen[nxt]:
-                seen[nxt] = 1
-                stack.append(nxt)
-            if self.events[e].is_write:
-                for r in self.readers.get(e, ()):
-                    if not seen[r]:
-                        seen[r] = 1
-                        stack.append(r)
-        return seen
-
-    def backward_set(self, start: int) -> set[int]:
-        """Events that reach start over po and current rf edges."""
-        po_prev = self._po_prev()
-        seen: set[int] = set()
-        stack = list(self._preds(start, po_prev))
-        while stack:
-            e = stack.pop()
-            if e in seen:
-                continue
-            seen.add(e)
-            stack.extend(p for p in self._preds(e, po_prev) if p not in seen)
-        return seen
-
-    def _po_prev(self) -> list[int]:
-        prev = [-1] * len(self.events)
-        for e, nxt in enumerate(self.po_next):
-            if nxt >= 0:
-                prev[nxt] = e
-        return prev
-
-    def _preds(self, e: int, po_prev: list[int]) -> list[int]:
-        out = []
-        if po_prev[e] >= 0:
-            out.append(po_prev[e])
-        if self.events[e].is_read and e in self.rf:
-            out.append(self.rf[e])
-        return out
 
     def rf_relation(self) -> ReadsFrom:
         return ReadsFrom(
@@ -255,131 +175,6 @@ def _init_state(g: PartialExecutionGraph, allow_future: bool = False) -> _State:
             raise NoMatchingWrite(st.events[r].id)
         st.assign(r, w)
     return st
-
-
-def initialize_rf(
-    g: PartialExecutionGraph, mode: Axiom = Axiom.WEAK_READ_COHERENCE
-) -> ReadsFrom:
-    """The pointwise least rf: each read observes the po-earliest matching
-    write of its location's writer thread (strictly above the read when
-    the read shares that thread, except in relaxed mode)."""
-    _require_one_writer(g)
-    return _init_state(g, allow_future=mode is Axiom.RELAXED_READ_COHERENCE).rf_relation()
-
-
-def _scan_weak(st: _State) -> Violation | None:
-    """First weak-read-coherence violation in (thread, index) read order.
-
-    A read r bound to write at position k is violated iff the next write
-    of its location happens-before r (later writes only strengthen the
-    reachability, so checking the immediate successor suffices).  One
-    forward search per distinct (location, k) group covers all reads.
-    """
-    groups: dict[tuple[str, int], list[int]] = {}
-    for r in st.reads:
-        ev = st.events[r]
-        k = st.rf_pos[r]
-        if k + 1 < len(st.var_writes[ev.var]):
-            groups.setdefault((ev.var, k), []).append(r)
-    violated: list[int] = []
-    for (var, k), members in groups.items():
-        src = st.var_writes[var][k + 1]
-        seen = st.forward_set(src)
-        violated.extend(r for r in members if seen[r])
-    if not violated:
-        return None
-    r = min(violated, key=lambda e: st.events[e].id)
-    ev = st.events[r]
-    writes = st.var_writes[ev.var]
-    back = st.backward_set(r)
-    k = st.rf_pos[r]
-    best = max(j for j in range(k + 1, len(writes)) if writes[j] in back)
-    return Violation(
-        read=ev.id,
-        write=st.events[writes[k]].id,
-        blocker=st.events[writes[best]].id,
-    )
-
-
-def _scan_relaxed(st: _State) -> Violation | None:
-    """First relaxed-read-coherence violation in read scan order.
-
-    With mo forced to po, a read r bound at position k is violated iff a
-    po-earlier event of its own thread exposes a write of the same
-    location at a position above k: either that write itself or an
-    earlier read bound to it.  A per-thread prefix scan finds, for each
-    location, the best exposed position so far.
-    """
-    candidates: list[tuple[int, int, int | None]] = []
-    for tid in st.g.thread_ids:
-        best: dict[str, tuple[int, int | None]] = {}
-        for ev in st.g.events_of[tid]:
-            e = st.index[ev.id]
-            if ev.is_read:
-                k = st.rf_pos[e]
-                seen = best.get(ev.var)
-                if seen is not None and seen[0] > k:
-                    candidates.append((e, seen[0], seen[1]))
-                exposed = (st.rf_pos[e], e)
-            else:
-                exposed = (st.write_pos[e], None)
-            cur = best.get(ev.var)
-            if cur is None or exposed[0] > cur[0]:
-                best[ev.var] = exposed
-    if not candidates:
-        return None
-    e, pos, via = min(candidates, key=lambda c: st.events[c[0]].id)
-    ev = st.events[e]
-    writes = st.var_writes[ev.var]
-    return Violation(
-        read=ev.id,
-        write=st.events[writes[st.rf_pos[e]]].id,
-        blocker=st.events[writes[pos]].id,
-        via_read=st.events[via].id if via is not None else None,
-    )
-
-
-def _apply_update(st: _State, violation: Violation, allow_future: bool = False) -> EventId:
-    r = st.index[violation.read]
-    w = _earliest_match(st, r, st.write_pos[st.index[violation.blocker]], allow_future)
-    if w < 0:
-        raise NoLaterWrite(violation.read)
-    st.assign(r, w)
-    return st.events[w].id
-
-
-def _state_from_rf(g: PartialExecutionGraph, rf: ReadsFrom) -> _State:
-    st = _State(g)
-    for rid, wid in rf.mapping.items():
-        st.assign(st.index[rid], st.index[wid])
-    return st
-
-
-def next_violation(
-    g: PartialExecutionGraph,
-    rf: ReadsFrom,
-    mode: Axiom = Axiom.WEAK_READ_COHERENCE,
-) -> Violation | None:
-    """Deterministic first coherence violation of rf, or None."""
-    _require_one_writer(g)
-    st = _state_from_rf(g, rf)
-    if mode is Axiom.RELAXED_READ_COHERENCE:
-        return _scan_relaxed(st)
-    return _scan_weak(st)
-
-
-def update_rf(
-    g: PartialExecutionGraph,
-    rf: ReadsFrom,
-    violation: Violation,
-    mode: Axiom = Axiom.WEAK_READ_COHERENCE,
-) -> ReadsFrom:
-    """Remap the violating read to the po-earliest matching write at or
-    after the blocking write; strictly larger at exactly that read."""
-    _require_one_writer(g)
-    st = _state_from_rf(g, rf)
-    _apply_update(st, violation, allow_future=mode is Axiom.RELAXED_READ_COHERENCE)
-    return st.rf_relation()
 
 
 def _blocked_certificate(v: Violation) -> list[tuple[EventId, str]]:

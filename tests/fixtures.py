@@ -143,6 +143,11 @@ def single_writer_porf_cyclic():
     )
 
 
+def porf_cyclic_rf0():
+    """The po-earliest matching writes of `single_writer_porf_cyclic`."""
+    return ReadsFrom({E("t2", 0): E("t1", 1), E("t2", 1): E("t1", 0), E("t1", 2): E("t2", 2)})
+
+
 def two_clause_formula() -> CnfFormula:
     """(x1 v x2 v x3) and (x1 v -x2 v -x3)."""
     return CnfFormula(

@@ -4,9 +4,12 @@
 before it learned conflict-directed backjumping: a failed candidate only
 moves the search on to the next candidate of the same read, and a read
 that runs out of candidates returns to the read assigned just before it.
-The candidate order, the prunes, the leaf check and the budget are those
-of the library, so the differential tests can hold the backjumping search
-to the same leaves, the same first witness, the same `all_consistent_rfs`
+Its relaxed prune is the one the library had before it kept the forced
+write order as a closure: a per-location digraph of the forced pairs,
+searched for a cycle by DFS after every assignment.  The candidate
+order, the other prunes, the leaf check and the budget are those of the
+library, so the differential tests can hold the backjumping search to
+the same leaves, the same first witness, the same `all_consistent_rfs`
 and the same budget exits, with no more nodes.
 
 `permutation_first_mo` is the mo synthesis that `racheck.oracle._first_mo`
@@ -37,6 +40,54 @@ from racheck.oracle import (
 
 
 class ChronologicalSearch(_Search):
+    def __init__(self, g: PartialExecutionGraph, m: MemoryModel, limits: OracleLimits):
+        super().__init__(g, m, limits)
+        # relaxed forced-order digraph per location
+        self.forced: dict[str, dict[EventId, set[EventId]]] = {}
+
+    def _forced_new_pairs(self, rid: EventId, wid: EventId) -> list[tuple[EventId, EventId]]:
+        rev = self.g.event(rid)
+        pairs: list[tuple[EventId, EventId]] = []
+        for w in self.g.writes_by_var[rev.var]:
+            if w.id != wid and w.id.thread == rid.thread and w.id.index < rid.index:
+                pairs.append((w.id, wid))
+        for other, ow, _ in self.assigned_reads:
+            oid = self.enc.events[other].id
+            if oid.thread != rid.thread or self.g.event(oid).var != rev.var:
+                continue
+            owid = self.enc.events[ow].id
+            if oid.index < rid.index and owid != wid:
+                pairs.append((owid, wid))
+            elif oid.index > rid.index and wid != owid:
+                pairs.append((wid, owid))
+        return pairs
+
+    def _forced_cycle(self, var: str) -> bool:
+        adj = self.forced.get(var, {})
+        WHITE, GREY, BLACK = 0, 1, 2
+        color: dict[EventId, int] = {}
+        for root in adj:
+            if color.get(root, WHITE) != WHITE:
+                continue
+            stack = [(root, iter(adj.get(root, ())))]
+            color[root] = GREY
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for nxt in it:
+                    c = color.get(nxt, WHITE)
+                    if c == GREY:
+                        return True
+                    if c == WHITE:
+                        color[nxt] = GREY
+                        stack.append((nxt, iter(adj.get(nxt, ()))))
+                        advanced = True
+                        break
+                if not advanced:
+                    color[node] = BLACK
+                    stack.pop()
+        return False
+
     def run(self, stop_at_first: bool) -> tuple[
         tuple[ReadsFrom, ModificationOrder | None] | None, list[ReadsFrom]
     ]:

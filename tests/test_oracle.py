@@ -364,13 +364,11 @@ def test_oracle_cases_reach_budgets_and_backjumps():
 
 def test_backjumping_decides_eight_pattern_formula():
     # The chronological search exhausts a 1,000,000-node budget on this
-    # gadget; backjumping proves it inconsistent in under 70,000 nodes.
+    # gadget; backjumping proves it inconsistent in 64,892 nodes.
     g = cnf_to_twowriter_relaxed(EIGHT_PATTERNS)
-    verdict = oracle_consistent(
-        g, MemoryModel.RELAXED_ACYCLIC, OracleLimits(max_rf_candidates=200_000)
-    )
-    assert not verdict.is_consistent
-    assert verdict.axiom == EXHAUSTED
+    search = _Search(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits(max_rf_candidates=200_000))
+    assert search.run(True) == (None, [])
+    assert (search.rf_nodes, search.backjumps) == (64_892, 21_901)
 
 
 def test_backjumps_counted_on_unsat_relaxed_gadget():
@@ -379,9 +377,8 @@ def test_backjumps_counted_on_unsat_relaxed_gadget():
     search = _Search(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
     reference = ChronologicalSearch(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
     assert search.run(True) == reference.run(True) == (None, [])
-    assert search.backjumps > 0
-    assert reference.backjumps == 0
-    assert search.rf_nodes < reference.rf_nodes
+    assert (search.rf_nodes, search.backjumps) == (966, 251)
+    assert (reference.rf_nodes, reference.backjumps) == (13_725, 0)
 
 
 # ---------------------------------------------------------------------------

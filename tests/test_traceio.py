@@ -14,7 +14,6 @@ from racheck import (
     cnf_to_threewriter,
     derive_mo,
     graph_to_onewriter,
-    initialize_rf,
     random_graph,
     solve,
 )
@@ -110,7 +109,7 @@ def _documents():
     yield TraceDocument(g, verdict.rf, None)
     yield TraceDocument(g, verdict.rf, derive_mo(g))
     cyc = fx.single_writer_porf_cyclic()
-    yield TraceDocument(cyc, initialize_rf(cyc), derive_mo(cyc))
+    yield TraceDocument(cyc, fx.porf_cyclic_rf0(), derive_mo(cyc))
     gadget = cnf_to_threewriter(fx.two_clause_formula())
     yield TraceDocument(gadget)
     tri, rf = graph_to_onewriter(fx.triangle_graph())
