@@ -96,22 +96,19 @@ def model_needs_mo(m: MemoryModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _successors(g: PartialExecutionGraph, rf: ReadsFrom) -> dict[EventId, list[tuple[EventId, str]]]:
-    """Labelled adjacency of po (immediate) and rf edges, deterministic order."""
-    adj: dict[EventId, list[tuple[EventId, str]]] = {}
-    for tid in g.thread_ids:
-        evs = g.events_of[tid]
-        for i, ev in enumerate(evs):
-            out: list[tuple[EventId, str]] = []
-            if i + 1 < len(evs):
-                out.append((evs[i + 1].id, PO_EDGE))
-            adj[ev.id] = out
-    readers: dict[EventId, list[EventId]] = {}
-    for rid, wid in rf.mapping.items():
-        readers.setdefault(wid, []).append(rid)
-    for wid, rids in readers.items():
-        adj[wid].extend((rid, RF_EDGE) for rid in sorted(rids))
-    return adj
+def _adjacency(g: PartialExecutionGraph, rf: ReadsFrom) -> list[list[int]]:
+    """po (immediate) and rf successors on the graph's numbering: each
+    event's po-successor first, then the reads it feeds in ascending order."""
+    num = g.numbering
+    succ: list[list[int]] = [[] for _ in num.events]
+    for start, end in num.spans:
+        for i in range(start + 1, end):
+            succ[i - 1].append(i)
+    pos, mapping = num.index, rf.mapping
+    for r in g.reads:
+        if r.id in mapping:
+            succ[pos[mapping[r.id]]].append(pos[r.id])
+    return succ
 
 
 class _HbIndex:
@@ -128,18 +125,12 @@ class _HbIndex:
         num = g.numbering
         self.ids: list[EventId] = [ev.id for ev in num.events]
         self.pos: dict[EventId, int] = num.index
-        pos = self.pos
-        n = len(self.ids)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for start, end in num.spans:
-            for i in range(start + 1, end):
-                succ[i - 1].append(i)
-                pred[i].append(i - 1)
-        for rid, wid in rf.mapping.items():
-            succ[pos[wid]].append(pos[rid])
-            pred[pos[rid]].append(pos[wid])
-        comps = _components(succ)
+        succ = _adjacency(g, rf)
+        pred: list[list[int]] = [[] for _ in succ]
+        for v, out in enumerate(succ):
+            for w in out:
+                pred[w].append(v)
+        comps = _components(succ)[0]
         self.reach = _propagate(comps, succ)
         self.back = _propagate(comps[::-1], pred)
 
@@ -148,23 +139,26 @@ class _HbIndex:
         pos = self.pos
         return next(e for e in eids if mask >> pos[e] & 1)
 
-    def reaches(self, src: EventId, dst: EventId) -> bool:
-        try:
-            i, j = self.pos[src], self.pos[dst]
-        except KeyError as exc:
-            raise UnknownEvent(f"no event {exc.args[0]}") from None
-        return bool(self.reach[i] >> j & 1)
 
-
-def _components(succ: list[list[int]]) -> list[list[int]]:
+def _components(succ: list[list[int]]) -> tuple[list[list[int]], list[int] | None]:
     """Strongly connected components (Tarjan, iterative), each emitted
-    after every component it reaches."""
+    after every component it reaches, and the first cycle the search meets.
+
+    The cycle is the certificate contract of the po ∪ rf (∪ mo) checks.
+    The search starts roots in ascending order, which on the graph's
+    numbering is sorted-id order, and tries each node's successors in
+    list order: po, then rf, then mo where the caller adds it.  Until the first edge to a node still on the stack, every
+    finished node is a component of its own and has left the stack, so
+    the stack is the DFS path and the cycle is its tail from that node:
+    the first cycle of a plain DFS over the same adjacency.
+    """
     n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
     comps: list[list[int]] = []
+    cycle: list[int] | None = None
     counter = 0
     for root in range(n):
         if index[root] >= 0:
@@ -184,8 +178,11 @@ def _components(succ: list[list[int]]) -> list[list[int]]:
                     on_stack[w] = True
                     work.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if on_stack[w]:
+                    if cycle is None:
+                        cycle = stack[stack.index(w) :]
+                    if index[w] < low[v]:
+                        low[v] = index[w]
             else:
                 work.pop()
                 if work and low[v] < low[work[-1][0]]:
@@ -199,7 +196,7 @@ def _components(succ: list[list[int]]) -> list[list[int]]:
                         if w == v:
                             break
                     comps.append(comp)
-    return comps
+    return comps, cycle
 
 
 def _propagate(comps: list[list[int]], edges: list[list[int]]) -> list[int]:
@@ -255,47 +252,31 @@ def hb_reaches(g: PartialExecutionGraph, rf: ReadsFrom, src: EventId, dst: Event
     return False
 
 
-def _find_cycle(
-    nodes: list[EventId], adj: dict[EventId, list[tuple[EventId, str]]]
+def _cycle_certificate(
+    g: PartialExecutionGraph, rf: ReadsFrom, succ: list[list[int]]
 ) -> list[tuple[EventId, str]] | None:
-    """First cycle found by DFS in sorted node order, as labelled steps."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    for root in sorted(nodes):
-        if color[root] != WHITE:
-            continue
-        path_nodes = [root]
-        path_labels: list[str] = []
-        color[root] = GREY
-        iters = [iter(adj[root])]
-        while iters:
-            try:
-                nxt, label = next(iters[-1])
-            except StopIteration:
-                iters.pop()
-                color[path_nodes.pop()] = BLACK
-                if path_labels:
-                    path_labels.pop()
-                continue
-            if color[nxt] == GREY:
-                pos = path_nodes.index(nxt)
-                cycle = [
-                    (path_nodes[i], path_labels[i]) for i in range(pos, len(path_nodes) - 1)
-                ]
-                cycle.append((path_nodes[-1], label))
-                return normalize_cycle(cycle)
-            if color[nxt] == WHITE:
-                color[nxt] = GREY
-                path_nodes.append(nxt)
-                path_labels.append(label)
-                iters.append(iter(adj[nxt]))
-        # path exhausted, all blackened above
-    return None
+    """The first cycle of `_components` over po ∪ rf successors (plus any
+    mo edges), as labelled steps.  A step is labelled po when it is one,
+    else rf, else mo: the search tries the po edge first."""
+    cycle = _components(succ)[1]
+    if cycle is None:
+        return None
+    num = g.numbering
+    steps = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        src = num.events[a].id
+        if b == a + 1 and num.thread_of[a] == num.thread_of[b]:
+            label = PO_EDGE
+        elif rf.mapping.get(num.events[b].id) == src:
+            label = RF_EDGE
+        else:
+            label = MO_EDGE
+        steps.append((src, label))
+    return normalize_cycle(steps)
 
 
 def porf_cycle(g: PartialExecutionGraph, rf: ReadsFrom) -> list[tuple[EventId, str]] | None:
-    adj = _successors(g, rf)
-    return _find_cycle([ev.id for ev in g.events()], adj)
+    return _cycle_certificate(g, rf, _adjacency(g, rf))
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +517,13 @@ def check_axiom(
 
     if ax is Axiom.STRONG_WRITE_COHERENCE:
         # acy(hb ∪ mo) == acy(po ∪ rf ∪ mo); consecutive mo edges suffice.
-        adj = _successors(g, rf)
+        succ = _adjacency(g, rf)
+        pos = g.numbering.index
         for var in sorted(mo.per_var):
             order = mo.order(var)
             for a, b in zip(order, order[1:]):
-                adj[a] = adj[a] + [(b, MO_EDGE)]
-        return _find_cycle([ev.id for ev in g.events()], adj)
+                succ[pos[a]].append(pos[b])
+        return _cycle_certificate(g, rf, succ)
 
     if ax is Axiom.WEAK_READ_COHERENCE:
         hb = _HbIndex(g, rf)
@@ -651,7 +633,6 @@ def replay_certificate(
     """
     if len(cert) <= 1:
         return all(g.has_event(e) for e, _ in cert)
-    hb: _HbIndex | None = None
     ob_steps: list[tuple[EventId, EventId]] = []
     for i, (a, label) in enumerate(cert):
         b = cert[(i + 1) % len(cert)][0]
@@ -672,11 +653,7 @@ def replay_certificate(
             if a not in order or b not in order or order.index(a) >= order.index(b):
                 return False
         elif label == HB_EDGE:
-            if rf is None:
-                return False
-            if hb is None:
-                hb = _HbIndex(g, rf)
-            if not hb.reaches(a, b):
+            if rf is None or not hb_reaches(g, rf, a, b):
                 return False
         elif label == OB_EDGE:
             ob_steps.append((a, b))

@@ -5,7 +5,10 @@ before it moved to per-event reachability bitsets: `hb_reaches` rebuilds
 the po/rf adjacency per query, `compute_ob` seeds the observed order by a
 search from every event of the anchor's past and recomputes the full
 closure after each round of the triplet rule, and the coherence checks
-search backwards from each write or read.  The relaxed coherence checks
+search backwards from each write or read.  `porf-acyclicity` and
+`strong-write-coherence` run a colouring DFS over an EventId adjacency
+with labelled edges, where the library reads the cycle off the Tarjan
+search on the shared numbering.  The relaxed coherence checks
 scan the whole mo suffix of every write and read, where the library makes
 one pass per location.  The differential tests hold the library to these
 results, certificates included.
@@ -43,6 +46,41 @@ def _successors(g, rf):
     for wid, rids in readers.items():
         adj[wid].extend((rid, RF_EDGE) for rid in sorted(rids))
     return adj
+
+
+def _find_cycle(nodes, adj):
+    """First cycle found by DFS in sorted node order, as labelled steps."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {n: WHITE for n in nodes}
+    for root in sorted(nodes):
+        if color[root] != WHITE:
+            continue
+        path_nodes = [root]
+        path_labels = []
+        color[root] = GREY
+        iters = [iter(adj[root])]
+        while iters:
+            try:
+                nxt, label = next(iters[-1])
+            except StopIteration:
+                iters.pop()
+                color[path_nodes.pop()] = BLACK
+                if path_labels:
+                    path_labels.pop()
+                continue
+            if color[nxt] == GREY:
+                pos = path_nodes.index(nxt)
+                cycle = [
+                    (path_nodes[i], path_labels[i]) for i in range(pos, len(path_nodes) - 1)
+                ]
+                cycle.append((path_nodes[-1], label))
+                return normalize_cycle(cycle)
+            if color[nxt] == WHITE:
+                color[nxt] = GREY
+                path_nodes.append(nxt)
+                path_labels.append(label)
+                iters.append(iter(adj[nxt]))
+    return None
 
 
 def _predecessors(g, rf):
@@ -184,8 +222,20 @@ def _ob_cycle(ob, start):
 
 
 def check_axiom(g, rf, mo, ax):
-    """The reference result of one hb-reading axiom, and of the relaxed
-    checks, which scan the whole mo suffix of every write and read."""
+    """The reference result of one hb-reading axiom, of the two po ∪ rf
+    cycle checks, and of the relaxed checks, which scan the whole mo
+    suffix of every write and read."""
+    if ax is Axiom.PORF_ACYCLICITY:
+        return _find_cycle([ev.id for ev in g.events()], _successors(g, rf))
+
+    if ax is Axiom.STRONG_WRITE_COHERENCE:
+        adj = _successors(g, rf)
+        for var in sorted(mo.per_var):
+            order = mo.order(var)
+            for a, b in zip(order, order[1:]):
+                adj[a] = adj[a] + [(b, MO_EDGE)]
+        return _find_cycle([ev.id for ev in g.events()], adj)
+
     if ax is Axiom.WRITE_COHERENCE:
         pred = _predecessors(g, rf)
         for var in sorted(mo.per_var):
@@ -272,6 +322,8 @@ def check_axiom(g, rf, mo, ax):
 
 
 REFERENCE_AXIOMS = (
+    Axiom.PORF_ACYCLICITY,
+    Axiom.STRONG_WRITE_COHERENCE,
     Axiom.WRITE_COHERENCE,
     Axiom.READ_COHERENCE,
     Axiom.WEAK_READ_COHERENCE,

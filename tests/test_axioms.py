@@ -143,6 +143,8 @@ def test_weak_read_coherence_violation():
     cert = check_axiom(g, rf, None, Axiom.WEAK_READ_COHERENCE)
     assert cert is not None
     assert replay_certificate(g, cert, rf)
+    with pytest.raises(UnknownEvent):
+        replay_certificate(g, [(cert[0][0], "hb"), (E("zz", 0), "hb")], rf)
 
 
 def test_strong_but_not_plain_write_coherence():
@@ -442,11 +444,17 @@ def test_hb_checks_match_set_reference(case):
 
 def test_multiwriter_cases_reach_cycles():
     # the differential test above sees po ∪ rf cycles and, on acyclic
-    # po ∪ rf, observed-order cycles
+    # po ∪ rf, cycles closed by mo edges and observed-order cycles
     cfg = settings(
         max_examples=300, derandomize=True, database=None, phases=[Phase.generate]
     )
     find(multiwriter_cases(), lambda c: porf_cycle(c[0], c[1]) is not None, settings=cfg)
+    find(
+        multiwriter_cases(),
+        lambda c: porf_cycle(c[0], c[1]) is None
+        and check_axiom(*c, Axiom.STRONG_WRITE_COHERENCE) is not None,
+        settings=cfg,
+    )
     find(
         multiwriter_cases(),
         lambda c: porf_cycle(c[0], c[1]) is None

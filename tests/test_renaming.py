@@ -4,7 +4,9 @@ Renaming threads permutes the sorted-id numbering that the solver, the
 oracle and the axiom checks share, and reordering the thread blocks
 changes the order the graph lists them in.  Neither may change a verdict.
 The oracle's first witness follows the numbering, so a renamed witness
-is only required to verify, not to be the renamed graph's first one.
+is only required to verify, not to be the renamed graph's first one, and
+to survive the trace format's round trip; a renamed solver certificate
+is only required to replay on the renamed graph.
 """
 
 from __future__ import annotations
@@ -19,10 +21,15 @@ from racheck import (
     ModificationOrder,
     OracleLimits,
     ReadsFrom,
+    TraceDocument,
     build_graph,
+    derive_mo,
     max_writers,
     oracle_consistent,
+    parse_trace,
     random_graph,
+    replay_certificate,
+    serialize_trace,
     solve,
     verify,
 )
@@ -74,6 +81,10 @@ def _renamed(g, rng):
     return renamed, event_map, location_map
 
 
+def _renamed_rf(rf, event_map):
+    return ReadsFrom({event_map[r]: event_map[w] for r, w in rf.mapping.items()})
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.one_of(multi_writer_graphs(), single_writer_graphs()), st.randoms(use_true_random=False))
 def test_verdicts_invariant_under_renaming(g, rng):
@@ -81,7 +92,14 @@ def test_verdicts_invariant_under_renaming(g, rng):
     one_writer = max_writers(g) <= 1
     for m in CANONICAL_MODELS:
         if one_writer:
-            assert solve(renamed, m)[0].axiom == solve(g, m)[0].axiom, m
+            verdict, trace = solve(g, m)
+            assert solve(renamed, m)[0].axiom == verdict.axiom, m
+            if not verdict.is_consistent:
+                cert = [(event_map[e], label) for e, label in verdict.certificate]
+                rf = None
+                if trace.final_rf is not None:  # None only on rf-totality
+                    rf = _renamed_rf(trace.final_rf, event_map)
+                assert replay_certificate(renamed, cert, rf, derive_mo(renamed)), m
         try:
             verdict = oracle_consistent(g, m, LIMITS)
             other = oracle_consistent(renamed, m, LIMITS)
@@ -89,7 +107,7 @@ def test_verdicts_invariant_under_renaming(g, rng):
             continue
         assert other.axiom == verdict.axiom, m
         if verdict.is_consistent:
-            rf = ReadsFrom({event_map[r]: event_map[w] for r, w in verdict.rf.mapping.items()})
+            rf = _renamed_rf(verdict.rf, event_map)
             mo = None
             if verdict.mo is not None:
                 mo = ModificationOrder(
@@ -99,3 +117,8 @@ def test_verdicts_invariant_under_renaming(g, rng):
                     }
                 )
             assert verify(renamed, rf, mo, m).is_consistent, m
+            # a graph without reads has no rf lines; `racheck verify` reads
+            # their absence as the empty rf
+            back = parse_trace(serialize_trace(TraceDocument(renamed, rf, mo)))
+            assert back.graph == renamed and back.mo == mo, m
+            assert (back.rf if back.rf is not None else ReadsFrom({})) == rf, m
