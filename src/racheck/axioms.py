@@ -147,10 +147,11 @@ def _components(succ: list[list[int]]) -> tuple[list[list[int]], list[int] | Non
     The cycle is the certificate contract of the po ∪ rf (∪ mo) checks.
     The search starts roots in ascending order, which on the graph's
     numbering is sorted-id order, and tries each node's successors in
-    list order: po, then rf, then mo where the caller adds it.  Until the first edge to a node still on the stack, every
-    finished node is a component of its own and has left the stack, so
-    the stack is the DFS path and the cycle is its tail from that node:
-    the first cycle of a plain DFS over the same adjacency.
+    list order: po, then rf, then mo where the caller adds it.  Until
+    the first edge to a node still on the stack, every finished node is
+    a component of its own and has left the stack, so the stack is the
+    DFS path and the cycle is its tail from that node: the first cycle
+    of a plain DFS over the same adjacency.
     """
     n = len(succ)
     index = [-1] * n
@@ -447,27 +448,6 @@ def _suffix_masks(hb: _HbIndex, order: list[EventId]) -> list[int]:
     return later
 
 
-def _relaxed_read_cycle(
-    g: PartialExecutionGraph, rf: ReadsFrom, mo: ModificationOrder, rid: EventId
-) -> list[tuple[EventId, str]]:
-    """The relaxed-read-coherence cycle of a read known to break it: the
-    first write mo-after its own that is po-before it or is read po-before
-    it, the former first, then the first such reader."""
-    readers: dict[EventId, list[EventId]] = {}
-    for r, w in rf.mapping.items():
-        readers.setdefault(w, []).append(r)
-    w1 = rf.mapping[rid]
-    var = g.event(rid).var
-    order = mo.order(var)
-    for w2 in order[mo.position(var)[w1] + 1 :]:
-        if w2.thread == rid.thread and w2.index < rid.index:
-            return [(rid, RF_INV_EDGE), (w1, MO_EDGE), (w2, PO_EDGE)]
-        for r2 in sorted(readers.get(w2, ())):
-            if r2.thread == rid.thread and r2.index < rid.index:
-                return [(rid, RF_INV_EDGE), (w1, MO_EDGE), (w2, RF_EDGE), (r2, PO_EDGE)]
-    raise AssertionError(f"{rid} does not break relaxed-read-coherence")
-
-
 def check_axiom(
     g: PartialExecutionGraph,
     rf: ReadsFrom,
@@ -538,38 +518,53 @@ def check_axiom(
         return None
 
     if ax is Axiom.RELAXED_WRITE_COHERENCE:
+        # A write breaks it when a po-earlier write of its thread is
+        # mo-after it; the certificate takes the mo-first such write and,
+        # as w2, the mo-first of those po-earlier writes above it.
         for var in sorted(mo.per_var):
-            order = mo.order(var)
-            # a write breaks it when a later write of its thread is po-earlier
-            least: dict[str, int] = {}  # thread -> least index among later writes
-            first = None
-            for i in range(len(order) - 1, -1, -1):
-                w1 = order[i]
-                low = least.get(w1.thread, w1.index)
-                if low < w1.index:
-                    first = i
-                least[w1.thread] = min(low, w1.index)
-            if first is not None:
-                w1 = order[first]
-                for w2 in order[first + 1 :]:
-                    if w2.thread == w1.thread and w2.index < w1.index:
-                        return [(w1, MO_EDGE), (w2, PO_EDGE)]
+            position = mo.position(var)
+            w1 = w2 = None  # mo positions of the certificate's writes
+            exposed, thread = 0, None  # mo positions of the thread's writes so far
+            for w in g.writes_by_var.get(var, ()):
+                if w.id.thread != thread:
+                    exposed, thread = 0, w.id.thread
+                pos = position[w.id]
+                above = exposed >> pos + 1
+                if above and (w1 is None or pos < w1):
+                    w1, w2 = pos, pos + (above & -above).bit_length()
+                exposed |= 1 << pos
+            if w1 is not None:
+                order = mo.order(var)
+                return [(order[w1], MO_EDGE), (order[w2], PO_EDGE)]
         return None
 
     if ax is Axiom.RELAXED_READ_COHERENCE:
         # A read breaks it when a po-earlier event of its thread exposes a
         # write mo-after its own: a write of the location, or the write an
-        # earlier read of the location took.  Reads are scanned in sorted-id
-        # order, so the first one found is the first of `g.reads`.
+        # earlier read of the location took.  The certificate's w2 is the
+        # mo-first such write, through the write itself if it is po-before
+        # the read, else through the first read that took it.  Reads are
+        # scanned in sorted-id order, so the first one found is the first
+        # of `g.reads`.
         positions = {var: mo.position(var) for var in mo.per_var}
         for tid in sorted(g.thread_ids):
-            highest: dict[str, int] = {}  # location -> highest exposed position
+            exposed: dict[str, int] = {}  # location -> mask of exposed positions
+            via: dict[EventId, EventId | None] = {}  # exposed write -> first read of it
             for ev in g.events_of[tid]:
                 w = rf.mapping[ev.id] if ev.is_read else ev.id
                 pos = positions[ev.var][w]
-                if ev.is_read and highest.get(ev.var, -1) > pos:
-                    return _relaxed_read_cycle(g, rf, mo, ev.id)
-                highest[ev.var] = max(highest.get(ev.var, -1), pos)
+                seen = exposed.get(ev.var, 0)
+                if ev.is_read:
+                    above = seen >> pos + 1
+                    if above:
+                        w2 = mo.order(ev.var)[pos + (above & -above).bit_length()]
+                        r2 = via[w2]
+                        tail = [(w2, PO_EDGE)] if r2 is None else [(w2, RF_EDGE), (r2, PO_EDGE)]
+                        return [(ev.id, RF_INV_EDGE), (w, MO_EDGE), *tail]
+                    via.setdefault(w, ev.id)
+                else:
+                    via[w] = None  # the write itself is po-before later reads
+                exposed[ev.var] = seen | 1 << pos
         return None
 
     if ax is Axiom.OB_ACYCLICITY:

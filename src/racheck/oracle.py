@@ -17,8 +17,11 @@ completion can satisfy the queried model:
  * under the relaxed models the per-location write-order constraints
    forced by the axioms only grow with the assignment, so a forced
    cycle prunes.  The forced order is kept as a transitive closure like
-   happens-before; the edges a new rf edge r <- w forces all run into or
-   out of w, so they close a cycle iff w then reaches itself.
+   happens-before, seeded with each location's writes in po; the edges a
+   new rf edge r <- w forces all run into or out of w, so they close a
+   cycle iff w then reaches itself.  At a leaf the closure is the whole
+   relaxed constraint, so the prune is exact: a relaxed leaf always has
+   a modification order.
 
 The search backjumps over conflict sets (Prosser's CBJ).  Each prune
 names the depths of the assigned reads it rests on:
@@ -31,8 +34,8 @@ names the depths of the assigned reads it rests on:
    w_q ->* q, q's own included;
  * relaxed forced cycle on location x: every assigned read of x, as the
    forced digraph of x depends on those alone;
- * a failed leaf (ob-acyclicity under CM, or no modification order):
-   every depth.
+ * a failed leaf (ob-acyclicity under CM, or no modification order
+   under RA or SRA): every depth.
 
 A read that runs out of candidates returns the union of its conflict
 sets minus itself, and a read whose depth is not in a returned set
@@ -171,14 +174,18 @@ def _link(reach: list[int], coreach: list[int], heads: int, tails: int) -> tuple
 
 
 class _Encoding:
-    """The graph's numbering with po reachability masks."""
+    """The graph's numbering with two transitive closures as per-event
+    reach/coreach masks, both grown by the search: hb (`reach`,
+    `coreach`), starting as po, and the relaxed forced write order
+    (`mo_reach`, `mo_coreach`), starting as each location's writes in
+    po."""
 
     def __init__(self, g: PartialExecutionGraph):
         num = g.numbering
         self.events = num.events
         self.index = num.index
         n = len(self.events)
-        self.reach = [0] * n  # strict forward po-closure, grows with rf edges
+        self.reach = [0] * n
         self.coreach = [0] * n
         for start, end in num.spans:
             for i in range(start, end):
@@ -186,6 +193,12 @@ class _Encoding:
                 self.coreach[i] = (1 << i) - (1 << start)
         self.po_before = list(self.coreach)  # strict po-prefix, never grows
         self.var_write_mask = num.write_mask
+        self.mo_reach = [0] * n
+        self.mo_coreach = [0] * n
+        for mask in self.var_write_mask.values():
+            for w in _bits(mask):
+                self.mo_reach[w] = self.reach[w] & mask
+                self.mo_coreach[w] = self.coreach[w] & mask
 
 
 class _Search:
@@ -205,11 +218,7 @@ class _Search:
         self.order = sorted(cands, key=lambda rc: (len(rc[1]), rc[0].id))
         self.rf_nodes = 0  # candidates tried, the `max_rf_candidates` budget
         self.backjumps = 0  # returns that skipped a read's remaining candidates
-        self.assignment: dict[int, int] = {}  # read idx -> write idx
         self.assigned_reads: list[tuple[int, int, int]] = []  # (read, write, var mask)
-        # the relaxed forced write order, as a closure like reach/coreach
-        self.mo_reach = [0] * g.num_events
-        self.mo_coreach = [0] * g.num_events
 
     def _forces_mo_cycle(self, r: int, w: int, var_mask: int) -> bool:
         """Add the write order forced by r taking w; True iff it is cyclic.
@@ -219,7 +228,8 @@ class _Search:
         po-after r follow it.  Every new edge ends at w or starts at it, so
         a new cycle passes through w.
         """
-        before = self.enc.po_before
+        enc = self.enc
+        before = enc.po_before
         heads = before[r] & var_mask
         tails = 0
         for q, wq, qmask in self.assigned_reads:
@@ -231,10 +241,10 @@ class _Search:
         heads &= ~(1 << w)
         tails &= ~(1 << w)
         if heads:
-            _link(self.mo_reach, self.mo_coreach, heads, 1 << w)
+            _link(enc.mo_reach, enc.mo_coreach, heads, 1 << w)
         if tails:
-            _link(self.mo_reach, self.mo_coreach, 1 << w, tails)
-        return bool(self.mo_reach[w] >> w & 1)
+            _link(enc.mo_reach, enc.mo_coreach, 1 << w, tails)
+        return bool(enc.mo_reach[w] >> w & 1)
 
     # -- conflict sets ----------------------------------------------------
 
@@ -267,7 +277,7 @@ class _Search:
 
         def leaf() -> bool:
             rf = ReadsFrom(
-                {enc.events[r].id: enc.events[w].id for r, w in self.assignment.items()}
+                {enc.events[r].id: enc.events[w].id for r, w, _ in self.assigned_reads}
             )
             mo: ModificationOrder | None = None
             if self.check_ob:
@@ -305,9 +315,8 @@ class _Search:
                 reach_snap = list(enc.reach)
                 coreach_snap = list(enc.coreach)
                 if self.prune_relaxed:
-                    mo_snap = list(self.mo_reach), list(self.mo_coreach)
+                    mo_snap = list(enc.mo_reach), list(enc.mo_coreach)
                 sources, targets = _link(enc.reach, enc.coreach, 1 << w, 1 << r)
-                self.assignment[r] = w
                 self.assigned_reads.append((r, w, var_mask))
                 # Every prune's conflict set holds the depth of at least
                 # one assigned read, so 0 means "not pruned".
@@ -331,11 +340,10 @@ class _Search:
                         return True, 0
                 # undo
                 self.assigned_reads.pop()
-                del self.assignment[r]
                 enc.reach = reach_snap
                 enc.coreach = coreach_snap
                 if self.prune_relaxed:
-                    self.mo_reach, self.mo_coreach = mo_snap
+                    enc.mo_reach, enc.mo_coreach = mo_snap
                 if not conflict & me:
                     # the failure does not depend on this read: no other
                     # candidate can help, so jump back past it
@@ -364,38 +372,35 @@ def _first_mo(
     edges, and the lexicographically first one takes, position by
     position, the first write that no remaining write must precede.
     Under RA (and SRA) w2 precedes w1 when w2 happens-before w1 or a
-    reader of w1; under the relaxed models when w2 is po-before w1 or a
-    reader r of w1, or is read by a read po-before such an r.  SRA needs
+    reader of w1.  Under the relaxed models w2 precedes w1 when w2 is
+    po-before w1 or a reader r of w1, or is read by a read po-before
+    such an r; the search keeps the closure of those edges for rf in
+    `enc.mo_coreach`, so `enc` is its encoding at rf's leaf.  The sort
+    reads the closure as is: the writes it has placed are always closed
+    downward, so it picks the same write whether a remaining write must
+    precede it directly or through others.  SRA needs
     hb ∪ mo acyclic across locations: the forced edges join a copy of the
     po ∪ rf closure, and each placed write gains edges to its location's
     remaining writes.  A write no remaining write reaches keeps that graph
     acyclic, so every order it has begun extends and the locations never
     need revisiting.
     """
-    if model is MemoryModel.RA or model is MemoryModel.SRA:
-        past = enc.coreach
-    else:
-        past = list(enc.po_before)
-        for tid in g.thread_ids:
-            seen = 0  # the writes read po-before the event
-            for ev in g.events_of[tid]:
-                if ev.is_read:
-                    r = enc.index[ev.id]
-                    past[r] |= seen
-                    seen |= 1 << enc.index[rf.mapping[ev.id]]
-    before = list(past)
-    for rid, wid in rf.mapping.items():
-        before[enc.index[wid]] |= past[enc.index[rid]]
     sra = model is MemoryModel.SRA
-    if sra:
-        reach, coreach = list(enc.reach), list(enc.coreach)
-    for mask in enc.var_write_mask.values():
-        for w in _bits(mask):
-            before[w] &= mask & ~(1 << w)
-            if sra:
-                _link(reach, coreach, before[w], 1 << w)
-    if sra:
-        before = coreach  # "must precede" now grows with the placed writes
+    if sra or model is MemoryModel.RA:
+        before = list(enc.coreach)
+        for rid, wid in rf.mapping.items():
+            before[enc.index[wid]] |= enc.coreach[enc.index[rid]]
+        if sra:
+            reach, coreach = list(enc.reach), list(enc.coreach)
+        for mask in enc.var_write_mask.values():
+            for w in _bits(mask):
+                before[w] &= mask & ~(1 << w)
+                if sra:
+                    _link(reach, coreach, before[w], 1 << w)
+        if sra:
+            before = coreach  # "must precede" now grows with the placed writes
+    else:
+        before = enc.mo_coreach
     per_var: dict[str, list[EventId]] = {}
     for var in sorted(g.writes_by_var):
         writes = [enc.index[w.id] for w in g.writes_by_var[var]]

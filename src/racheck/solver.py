@@ -33,7 +33,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
-from .axioms import Axiom, check_axiom
+from .axioms import Axiom
 from .model import (
     HB_EDGE,
     PO_EDGE,
@@ -327,16 +327,13 @@ def _wait_cycle(st: _State, cur: list[int], t: int) -> list[tuple[EventId, str]]
 def solve(
     g: PartialExecutionGraph,
     m: MemoryModel,
-    recheck_ob: bool = False,
 ) -> tuple[Verdict, SolverTrace]:
     """Decide consistency of a 1-writer graph under any supported model.
 
     Returns the verdict plus the trace of raised reads.  A Consistent
     verdict carries the pointwise least coherent rf and the forced mo.
     The relaxed models use the relaxed coherence pattern and skip the
-    causality test unless the acyclic variant is asked for.  `recheck_ob`
-    runs the observed-order check on the witness for the causal-memory
-    model, guarding the theory that it can never fire on 1-writer graphs.
+    causality test unless the acyclic variant is asked for.
     """
     _require_one_writer(g)
     base = m.canonical
@@ -358,11 +355,4 @@ def solve(
     trace.final_rf = st.rf_relation()
     if failure is not None:
         return failure, trace
-
-    rf = trace.final_rf
-    mo = derive_mo(g)
-    if recheck_ob and base is MemoryModel.CM:
-        cert = check_axiom(g, rf, None, Axiom.OB_ACYCLICITY)
-        if cert is not None:
-            return Verdict.inconsistent(Axiom.OB_ACYCLICITY.value, cert), trace
-    return Verdict.consistent(rf, mo), trace
+    return Verdict.consistent(trace.final_rf, derive_mo(g)), trace

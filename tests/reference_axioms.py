@@ -8,10 +8,11 @@ closure after each round of the triplet rule, and the coherence checks
 search backwards from each write or read.  `porf-acyclicity` and
 `strong-write-coherence` run a colouring DFS over an EventId adjacency
 with labelled edges, where the library reads the cycle off the Tarjan
-search on the shared numbering.  The relaxed coherence checks
-scan the whole mo suffix of every write and read, where the library makes
-one pass per location.  The differential tests hold the library to these
-results, certificates included.
+search on the shared numbering.  The relaxed coherence checks scan the
+whole mo suffix of every write and read, where the library makes one
+pass over each location's writes or each thread's events.  The
+differential tests hold the library to these results, certificates
+included.
 """
 
 from __future__ import annotations

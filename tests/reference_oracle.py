@@ -6,11 +6,15 @@ moves the search on to the next candidate of the same read, and a read
 that runs out of candidates returns to the read assigned just before it.
 Its relaxed prune is the one the library had before it kept the forced
 write order as a closure: a per-location digraph of the forced pairs,
-searched for a cycle by DFS after every assignment.  The candidate
-order, the other prunes, the leaf check and the budget are those of the
-library, so the differential tests can hold the backjumping search to
-the same leaves, the same first witness, the same `all_consistent_rfs`
-and the same budget exits, with no more nodes.
+searched for a cycle by DFS after every assignment.  That digraph lacks
+each location's po edges between writes, so a leaf can still have no
+mo.  The search keeps the library's closure too, through
+`_Search._forces_mo_cycle` with its answer ignored, so that its leaves
+hand `_first_mo` the same encoding.  The candidate order, the other
+prunes, the leaf check and the budget are those of the library, so the
+differential tests can hold the backjumping search to the same leaves,
+the same first witness, the same `all_consistent_rfs` and the same
+budget exits, with no more nodes.
 
 `permutation_first_mo` is the mo synthesis that `racheck.oracle._first_mo`
 ran before it became a topological sort: a depth-first search over
@@ -42,6 +46,7 @@ from racheck.oracle import (
 class ChronologicalSearch(_Search):
     def __init__(self, g: PartialExecutionGraph, m: MemoryModel, limits: OracleLimits):
         super().__init__(g, m, limits)
+        self.assignment: dict[int, int] = {}  # read idx -> write idx
         # relaxed forced-order digraph per location
         self.forced: dict[str, dict[EventId, set[EventId]]] = {}
 
@@ -129,6 +134,8 @@ class ChronologicalSearch(_Search):
                     )
                 reach_snap = list(enc.reach)
                 coreach_snap = list(enc.coreach)
+                if self.prune_relaxed:
+                    mo_snap = list(enc.mo_reach), list(enc.mo_coreach)
                 sources = enc.coreach[w] | (1 << w)
                 targets = enc.reach[r] | (1 << r)
                 for s in _bits(sources):
@@ -137,6 +144,8 @@ class ChronologicalSearch(_Search):
                     enc.coreach[t] |= sources
                 self.assignment[r] = w
                 self.assigned_reads.append((r, w, var_mask))
+                if self.prune_relaxed:
+                    self._forces_mo_cycle(r, w, var_mask)
                 added: list[tuple[EventId, EventId]] = []
                 ok = True
                 if self.prune_porf and enc.reach[r] & (1 << r):
@@ -165,6 +174,8 @@ class ChronologicalSearch(_Search):
                 del self.assignment[r]
                 enc.reach = reach_snap
                 enc.coreach = coreach_snap
+                if self.prune_relaxed:
+                    enc.mo_reach, enc.mo_coreach = mo_snap
             return False
 
         descend(0)

@@ -1,5 +1,7 @@
 """The public names of `racheck`, listed so that an export change is deliberate."""
 
+import inspect
+
 import racheck
 
 PUBLIC_NAMES = [
@@ -75,3 +77,7 @@ PUBLIC_NAMES = [
 
 def test_public_names():
     assert sorted(racheck.__all__) == PUBLIC_NAMES
+
+
+def test_solve_parameters():
+    assert list(inspect.signature(racheck.solve).parameters) == ["g", "m"]

@@ -29,6 +29,7 @@ from racheck import (
 from racheck import axioms
 from racheck.axioms import Axiom, EmptyThread, check_axiom, porf_cycle
 from racheck.harness import FuzzParams
+from racheck.model import MO_EDGE, PO_EDGE, RF_EDGE, RF_INV_EDGE
 
 import fixtures as fx
 import reference_axioms as ref
@@ -444,7 +445,9 @@ def test_hb_checks_match_set_reference(case):
 
 def test_multiwriter_cases_reach_cycles():
     # the differential test above sees po ∪ rf cycles and, on acyclic
-    # po ∪ rf, cycles closed by mo edges and observed-order cycles
+    # po ∪ rf, cycles closed by mo edges and observed-order cycles, and
+    # relaxed-read certificates through a po-earlier write and through
+    # a po-earlier read
     cfg = settings(
         max_examples=300, derandomize=True, database=None, phases=[Phase.generate]
     )
@@ -461,3 +464,9 @@ def test_multiwriter_cases_reach_cycles():
         and check_axiom(c[0], c[1], None, Axiom.OB_ACYCLICITY) is not None,
         settings=cfg,
     )
+
+    def relaxed_read_labels(c):
+        return [label for _, label in check_axiom(*c, Axiom.RELAXED_READ_COHERENCE) or ()]
+
+    for labels in ([RF_INV_EDGE, MO_EDGE, PO_EDGE], [RF_INV_EDGE, MO_EDGE, RF_EDGE, PO_EDGE]):
+        find(multiwriter_cases(), lambda c: relaxed_read_labels(c) == labels, settings=cfg)

@@ -47,6 +47,7 @@ CANONICAL_MODELS = [
 ]
 
 MO_MODELS = [MemoryModel.SRA, MemoryModel.RA, MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC]
+RELAXED_MODELS = (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +433,8 @@ def _checked_leaves(g, m):
 
     def checked(g, enc, rf, model):
         mo = first_mo(g, enc, rf, model)
+        # the relaxed prune is exact: a relaxed leaf always has an mo
+        assert mo is not None or model not in RELAXED_MODELS
         if mo is not None:
             assert verify(g, rf, mo, model).is_consistent
         elif orders <= MAX_CHECKED_ORDERS and len(exhausted) < MAX_CHECKED_LEAVES:
@@ -477,6 +480,20 @@ def test_mo_cases_reach_every_outcome():
         and (False, False) in _checked_leaves(*case),
         settings=cfg,
     )
+
+
+def test_relaxed_prune_sees_po_order_of_writes():
+    # t2 reads x = 2 before x = 1, which forces t1's second write before
+    # its first: with the po edge between them the forced order is cyclic
+    # at the second read, so the search prunes there and reaches no leaf
+    g = build_graph(
+        [("t1", [("w", "x", 1), ("w", "x", 2)]), ("t2", [("r", "x", 2), ("r", "x", 1)])]
+    )
+    for m in RELAXED_MODELS:
+        with mock.patch.object(oracle, "_first_mo", wraps=oracle._first_mo) as first_mo:
+            verdict = oracle_consistent(g, m)
+        assert verdict.axiom == EXHAUSTED, m
+        assert first_mo.call_count == 0, m
 
 
 def test_write_heavy_graphs_decide_within_default_limits():
