@@ -59,6 +59,11 @@ MO_AXIOMS = {
     Axiom.RELAXED_READ_COHERENCE,
 }
 
+# Axioms whose pattern reads happens-before.
+HB_AXIOMS = {
+    Axiom.WRITE_COHERENCE, Axiom.READ_COHERENCE, Axiom.WEAK_READ_COHERENCE, Axiom.OB_ACYCLICITY
+}
+
 # Model -> axiom list, in check order: causality first, then coherence,
 # then the observed-order check (whose fixed point presumes acyclic hb).
 MODEL_AXIOMS: dict[MemoryModel, list[Axiom]] = {
@@ -118,26 +123,36 @@ class _HbIndex:
     bit order is the order the checks scan and report in.  `reach[i]`
     holds the events reachable from event i by one or more po/rf edges and
     `back[i]` the events that reach i; an event on a po ∪ rf cycle holds
-    its own bit.
+    its own bit.  `cycle` is the first po ∪ rf cycle of the `_components`
+    run that ordered the closure, or None.  `_hb_index` builds one; the
+    oracle's search wraps the porf-acyclic closure it keeps at a leaf.
     """
 
-    def __init__(self, g: PartialExecutionGraph, rf: ReadsFrom):
-        num = g.numbering
-        self.ids: list[EventId] = [ev.id for ev in num.events]
-        self.pos: dict[EventId, int] = num.index
-        succ = _adjacency(g, rf)
-        pred: list[list[int]] = [[] for _ in succ]
-        for v, out in enumerate(succ):
-            for w in out:
-                pred[w].append(v)
-        comps = _components(succ)[0]
-        self.reach = _propagate(comps, succ)
-        self.back = _propagate(comps[::-1], pred)
+    def __init__(self, g: PartialExecutionGraph, reach: list[int], back: list[int], cycle=None):
+        self.ids: list[EventId] = [ev.id for ev in g.numbering.events]
+        self.pos: dict[EventId, int] = g.numbering.index
+        self.reach = reach
+        self.back = back
+        self.cycle = cycle
 
     def first(self, eids: list[EventId], mask: int) -> EventId:
         """The first of `eids` whose bit is set in `mask`."""
         pos = self.pos
         return next(e for e in eids if mask >> pos[e] & 1)
+
+
+def _hb_index(g: PartialExecutionGraph, rf: ReadsFrom, cycle_only: bool = False) -> _HbIndex:
+    """rf's hb index: one `_components` run orders both closures and keeps
+    its cycle; with `cycle_only` a cyclic rf gets the cycle and no masks."""
+    succ = _adjacency(g, rf)
+    comps, cycle = _components(succ)
+    if cycle_only and cycle is not None:
+        return _HbIndex(g, [], [], cycle)
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, out in enumerate(succ):
+        for w in out:
+            pred[w].append(v)
+    return _HbIndex(g, _propagate(comps, succ), _propagate(comps[::-1], pred), cycle)
 
 
 def _components(succ: list[list[int]]) -> tuple[list[list[int]], list[int] | None]:
@@ -254,12 +269,11 @@ def hb_reaches(g: PartialExecutionGraph, rf: ReadsFrom, src: EventId, dst: Event
 
 
 def _cycle_certificate(
-    g: PartialExecutionGraph, rf: ReadsFrom, succ: list[list[int]]
+    g: PartialExecutionGraph, rf: ReadsFrom, cycle: list[int] | None
 ) -> list[tuple[EventId, str]] | None:
-    """The first cycle of `_components` over po ∪ rf successors (plus any
-    mo edges), as labelled steps.  A step is labelled po when it is one,
-    else rf, else mo: the search tries the po edge first."""
-    cycle = _components(succ)[1]
+    """A cycle `_components` found over po ∪ rf successors (plus any mo
+    edges) as labelled steps, or None.  A step is labelled po when it is
+    one, else rf, else mo: the search tries the po edge first."""
     if cycle is None:
         return None
     num = g.numbering
@@ -277,7 +291,7 @@ def _cycle_certificate(
 
 
 def porf_cycle(g: PartialExecutionGraph, rf: ReadsFrom) -> list[tuple[EventId, str]] | None:
-    return _cycle_certificate(g, rf, _adjacency(g, rf))
+    return _cycle_certificate(g, rf, _components(_adjacency(g, rf))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +377,6 @@ class _ObservedOrder:
         pos = self.hb.pos
         return a in pos and b in pos and bool(self.rows.get(pos[a], 0) >> pos[b] & 1)
 
-    def first_reflexive(self) -> int | None:
-        return next((e for e, row in self.rows.items() if row >> e & 1), None)
-
     def cycle(self, start: int) -> list[tuple[EventId, str]]:
         """Shortest generating-edge cycle through a reflexive event."""
         gen = self.gen
@@ -420,13 +431,11 @@ def compute_ob(
     else:
         anchor_id = anchor
         g.event(anchor_id)
-    return _ObservedOrder(_HbIndex(g, rf), g, rf, anchor_id).relation()
+    return _ObservedOrder(_hb_index(g, rf), g, rf, anchor_id).relation()
 
 
-def _thread_orders(g: PartialExecutionGraph, rf: ReadsFrom):
-    """The observed order of every non-empty thread, in sorted thread order,
-    on one shared hb index."""
-    hb = _HbIndex(g, rf)
+def _thread_orders(g: PartialExecutionGraph, rf: ReadsFrom, hb: _HbIndex):
+    """The observed order of every non-empty thread, in sorted thread order."""
     for tid in sorted(g.thread_ids):
         evs = g.events_of[tid]
         if evs:
@@ -464,12 +473,17 @@ def check_axiom(
             raise MissingMo(f"axiom {ax.value} needs a modification order")
         if not mo.covers(g):
             raise MissingMo("modification order does not cover every written location")
+    return _check_axiom(g, rf, mo, ax, _hb_index(g, rf) if ax in HB_AXIOMS else None)
 
+
+def _check_axiom(
+    g: PartialExecutionGraph, rf: ReadsFrom, mo: ModificationOrder | None, ax: Axiom, hb
+) -> list[tuple[EventId, str]] | None:
+    """`check_axiom` on validated witnesses and rf's hb index, if built."""
     if ax is Axiom.PORF_ACYCLICITY:
-        return porf_cycle(g, rf)
+        return porf_cycle(g, rf) if hb is None else _cycle_certificate(g, rf, hb.cycle)
 
     if ax is Axiom.WRITE_COHERENCE:
-        hb = _HbIndex(g, rf)
         for var in sorted(mo.per_var):
             order = mo.order(var)
             later = _suffix_masks(hb, order)
@@ -480,7 +494,6 @@ def check_axiom(
         return None
 
     if ax is Axiom.READ_COHERENCE:
-        hb = _HbIndex(g, rf)
         scans: dict[str, tuple[list[EventId], dict[EventId, int], list[int]]] = {}
         for r in g.reads:
             if r.var not in scans:
@@ -503,10 +516,9 @@ def check_axiom(
             order = mo.order(var)
             for a, b in zip(order, order[1:]):
                 succ[pos[a]].append(pos[b])
-        return _cycle_certificate(g, rf, succ)
+        return _cycle_certificate(g, rf, _components(succ)[1])
 
     if ax is Axiom.WEAK_READ_COHERENCE:
-        hb = _HbIndex(g, rf)
         writes = g.numbering.write_mask
         for r in g.reads:
             w1 = rf.mapping[r.id]
@@ -568,8 +580,8 @@ def check_axiom(
         return None
 
     if ax is Axiom.OB_ACYCLICITY:
-        for ob in _thread_orders(g, rf):
-            start = ob.first_reflexive()
+        for ob in _thread_orders(g, rf, hb):
+            start = next((e for e, row in ob.rows.items() if row >> e & 1), None)
             if start is not None:
                 return ob.cycle(start)
         return None
@@ -599,8 +611,10 @@ def verify(
         if not mo.covers(g):
             raise MissingMo("modification order does not cover every written location")
     verdict = None
+    # hb models check porf first: without a report a cyclic rf stops there
+    hb = _hb_index(g, rf, report is None) if HB_AXIOMS.intersection(axioms_for(m)) else None
     for ax in axioms_for(m):
-        cert = check_axiom(g, rf, mo, ax)
+        cert = _check_axiom(g, rf, mo, ax, hb)
         if report is not None:
             report[ax] = cert
         if cert is not None and verdict is None:
@@ -657,7 +671,6 @@ def replay_certificate(
     if ob_steps:
         if rf is None:
             return False
-        return any(
-            all(ob.contains(a, b) for a, b in ob_steps) for ob in _thread_orders(g, rf)
-        )
+        hb = _hb_index(g, rf)
+        return any(all(ob.contains(a, b) for a, b in ob_steps) for ob in _thread_orders(g, rf, hb))
     return True

@@ -58,7 +58,8 @@ needs no budget: `max_mo_permutations` bounds only the orders
 
 Happens-before and the relaxed forced order are maintained incrementally
 as per-event reachability bitmasks over the graph's shared numbering,
-snapshotted per search node.
+snapshotted per search node.  At a leaf the hb masks are the po ∪ rf
+closure of a porf-acyclic graph: CM's ob check reads them as its index.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .axioms import Axiom, _bits, check_axiom, model_needs_mo
+from .axioms import Axiom, _bits, _check_axiom, _HbIndex, model_needs_mo
 from .model import (
     RF_INV_EDGE,
     Event,
@@ -281,7 +282,8 @@ class _Search:
             )
             mo: ModificationOrder | None = None
             if self.check_ob:
-                if check_axiom(self.g, rf, None, Axiom.OB_ACYCLICITY) is not None:
+                hb = _HbIndex(self.g, enc.reach, enc.coreach)
+                if _check_axiom(self.g, rf, None, Axiom.OB_ACYCLICITY, hb) is not None:
                     return False
             if model_needs_mo(self.model):
                 mo = _first_mo(self.g, enc, rf, self.model)

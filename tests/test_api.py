@@ -81,3 +81,15 @@ def test_public_names():
 
 def test_solve_parameters():
     assert list(inspect.signature(racheck.solve).parameters) == ["g", "m"]
+
+
+# `bench/run.py` wraps both by name and calls them with these arguments:
+# the tracer's per-axiom detail takes (g, rf, mo, ax), and the oracle's mo
+# synthesis is timed as `_first_mo(g, enc, rf, model)`.
+def test_check_axiom_parameters():
+    assert list(inspect.signature(racheck.check_axiom).parameters) == ["g", "rf", "mo", "ax"]
+
+
+def test_first_mo_parameters():
+    params = inspect.signature(racheck.oracle._first_mo).parameters
+    assert list(params) == ["g", "enc", "rf", "model"]

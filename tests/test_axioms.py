@@ -287,6 +287,55 @@ def test_verify_rejects_invalid_rf():
         verify(g, broken, None, MemoryModel.WRA)
 
 
+def test_verify_builds_one_hb_index(monkeypatch):
+    # One hb closure per (graph, rf): verify builds at most one index, and
+    # the Tarjan run that orders it is also the porf check's, so only
+    # strong-write-coherence (po ∪ rf ∪ mo) and an index-free porf check run
+    # a DFS of their own.
+    counts = {"index": 0, "dfs": 0}
+    hb_index, components = axioms._hb_index, axioms._components
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(axioms, "_hb_index", counted("index", hb_index))
+    monkeypatch.setattr(axioms, "_components", counted("dfs", components))
+    g, rf, mo = fx.mo_against_hb()
+    seen = {}
+    for m in axioms.MODEL_AXIOMS:
+        counts.update(index=0, dfs=0)
+        verify(g, rf, mo, m, {})
+        seen[m.value] = (counts["index"], counts["dfs"])
+    assert seen == {
+        "wra": (1, 1),
+        "ra": (1, 1),
+        "sra": (1, 2),
+        "rlx": (0, 0),
+        "rlx-acyclic": (0, 1),
+        "cm": (1, 1),
+    }
+
+
+def test_verify_stops_at_porf_cycle_before_closing_hb(monkeypatch):
+    # without a report, a porf-cyclic rf fails the first axiom on the DFS's
+    # cycle; the closure it would never read is not propagated
+    def unexpected(*args):
+        raise AssertionError("verify propagated hb for a cyclic rf")
+
+    g, rf = fx.porf_cycle_pair()
+    expected = check_axiom(g, rf, None, Axiom.PORF_ACYCLICITY)
+    assert expected is not None
+    monkeypatch.setattr(axioms, "_propagate", unexpected)
+    for m in (MemoryModel.WRA, MemoryModel.RA, MemoryModel.SRA, MemoryModel.CM):
+        mo = ModificationOrder({"x": [E("t2", 1)], "y": [E("t1", 1)]})
+        verdict = verify(g, rf, mo, m)
+        assert (verdict.axiom, verdict.certificate) == (Axiom.PORF_ACYCLICITY.value, expected)
+
+
 def test_cm_verify_scales_on_synchronizing_graph():
     # every thread reads every other thread's location, so each thread's
     # hb-past, and with it its observed order, spans most of the graph
@@ -297,7 +346,7 @@ def test_cm_verify_scales_on_synchronizing_graph():
     checked = verify(g, verdict.rf, verdict.mo, MemoryModel.CM)
     elapsed = time.perf_counter() - start
     assert checked.is_consistent
-    hb = axioms._HbIndex(g, verdict.rf)
+    hb = axioms._hb_index(g, verdict.rf)
     for tid in g.thread_ids:
         assert hb.back[hb.pos[g.events_of[tid][-1].id]].bit_count() > 900
     assert elapsed < 5.0, f"verify under cm took {elapsed:.2f}s on {g.num_events} events"
@@ -434,6 +483,11 @@ def test_hb_checks_match_set_reference(case):
         cert = check_axiom(g, rf, mo, ax)
         assert cert == ref.check_axiom(g, rf, mo, ax), ax
         assert cert is None or replay_certificate(g, cert, rf, mo), ax
+    # verify's checks share one index, porf's cycle included
+    for m in axioms.MODEL_AXIOMS:
+        report = {}
+        verify(g, rf, mo, m, report)
+        assert report == {ax: check_axiom(g, rf, mo, ax) for ax in axioms.axioms_for(m)}, m
     ids = sorted(ev.id for ev in g.events())
     for a in ids:
         for b in ids:

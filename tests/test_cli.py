@@ -129,14 +129,16 @@ def test_verify_staleness_fixture(workdir, capsys):
 
 
 def test_verify_checks_each_axiom_once(workdir, capsys, monkeypatch):
+    # verify runs each axiom through the per-axiom check on its shared hb
+    # index, not through the public check_axiom
     calls = []
-    check_axiom = axioms.check_axiom
+    check_axiom = axioms._check_axiom
 
-    def counted(g, rf, mo, ax):
+    def counted(g, rf, mo, ax, hb):
         calls.append(ax)
-        return check_axiom(g, rf, mo, ax)
+        return check_axiom(g, rf, mo, ax, hb)
 
-    monkeypatch.setattr(axioms, "check_axiom", counted)
+    monkeypatch.setattr(axioms, "_check_axiom", counted)
     g, rf = fx.stale_read_via_hb()
     path = workdir / "stale.trace"
     path.write_text(serialize_trace(TraceDocument(g, rf)))

@@ -26,8 +26,8 @@ from racheck import (
     solve,
     verify,
 )
-from racheck import oracle
-from racheck.axioms import model_needs_mo
+from racheck import axioms, oracle
+from racheck.axioms import Axiom, check_axiom, model_needs_mo, replay_certificate
 from racheck.harness import FuzzParams
 from racheck.oracle import EXHAUSTED, _Search, _unmatched_read
 from racheck.reductions import CnfFormula
@@ -380,6 +380,106 @@ def test_backjumps_counted_on_unsat_relaxed_gadget():
     assert search.run(True) == reference.run(True) == (None, [])
     assert (search.rf_nodes, search.backjumps) == (966, 251)
     assert (reference.rf_nodes, reference.backjumps) == (13_725, 0)
+
+
+# ---------------------------------------------------------------------------
+# cm leaves on the search's own hb closure
+# ---------------------------------------------------------------------------
+
+
+def _cm_leaf_certificates(g, limits):
+    """Enumerate g's rfs under cm, holding each leaf's hb index to a fresh
+    build for that rf and its ob certificate to `check_axiom`'s.  Returns
+    the certificates of the leaves reached within `limits`."""
+    leaf_check = oracle._check_axiom
+    certs = []
+
+    def checked(g, rf, mo, ax, hb):
+        assert ax is Axiom.OB_ACYCLICITY
+        fresh = axioms._hb_index(g, rf)
+        # the search prunes porf under cm, so its closure is acyclic
+        assert fresh.cycle is None and hb.cycle is None
+        assert (hb.reach, hb.back) == (fresh.reach, fresh.back)
+        cert = leaf_check(g, rf, mo, ax, hb)
+        assert cert == check_axiom(g, rf, None, Axiom.OB_ACYCLICITY)
+        certs.append(cert)
+        return cert
+
+    with mock.patch.object(oracle, "_check_axiom", checked):
+        try:
+            all_consistent_rfs(g, MemoryModel.CM, limits)
+        except BudgetExceeded:
+            pass  # the leaves reached so far were checked
+    return certs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+def test_cm_leaves_read_the_search_closure(case):
+    g, _, limits = case
+    _cm_leaf_certificates(g, limits)
+
+
+def test_cm_leaf_cases_reach_ob_cycles():
+    # the test above sees leaves that pass and leaves with an ob cycle
+    cfg = settings(
+        max_examples=250, deadline=None, derandomize=True, database=None, phases=[Phase.generate]
+    )
+    find(oracle_cases(), lambda c: None in _cm_leaf_certificates(c[0], c[2]), settings=cfg)
+    find(
+        oracle_cases(),
+        lambda c: any(cert is not None for cert in _cm_leaf_certificates(c[0], c[2])),
+        settings=cfg,
+    )
+
+
+def test_cm_search_builds_no_hb_index(monkeypatch):
+    # the leaves wrap the search's masks: no Tarjan run, no propagation
+    def unexpected(*args):
+        raise AssertionError("the cm search rebuilt happens-before")
+
+    monkeypatch.setattr(axioms, "_components", unexpected)
+    monkeypatch.setattr(axioms, "_propagate", unexpected)
+    g, rf = fx.observed_order_cyclic()
+    assert not oracle_consistent(g, MemoryModel.CM).is_consistent
+    assert not oracle_consistent(CM_SEPARATION, MemoryModel.CM).is_consistent
+    g = cnf_to_twowriter(fx.two_clause_formula())
+    assert oracle_consistent(g, MemoryModel.CM).is_consistent
+
+
+# Consistent under every release-acquire and relaxed model, not under cm.
+CM_SEPARATION = build_graph(
+    [
+        ("t1", [("w", "x", 1), ("w", "x", 2), ("w", "y", 0)]),
+        ("t2", [("w", "y", 2), ("r", "x", 1), ("r", "z", 0), ("r", "y", 2)]),
+        ("t3", [("r", "y", 0), ("w", "z", 0)]),
+    ]
+)
+
+
+def test_cm_separation_example():
+    """Causal memory is strictly stronger than SRA here, on a 9-event input
+    with a single rf (every value is unique per location).
+
+    The argument is that of Bouajjani, Enea, Guerraoui and Hamza, *On
+    Verifying Causal Consistency*, POPL 2017: every thread serialises the
+    writes in its causal past consistently with what it reads.  `w x 2`
+    is in t2's past through `w x 2 ->po w y 0 ->rf r y 0 ->po w z 0 ->rf
+    r z 0`, and so is `w y 0`.  t2's last read `r y 2` takes `w y 2`, so
+    t2's view puts `w y 0` before `w y 2`, and with po `w x 2` before `w y
+    0` and `w y 2` before `r x 1`, `w x 2` before `r x 1`.  `r x 1` takes
+    `w x 1`, so `w x 2` comes before `w x 1`, against po.  SRA's coherence
+    reads hb alone, and `w x 2` reaches `r x 1` only through the mo step
+    `w y 0 -> w y 2`: mo `w x 1, w x 2` and `w y 0, w y 2` satisfy it.
+    """
+    for m in (MemoryModel.SRA, MemoryModel.RA, MemoryModel.WRA) + RELAXED_MODELS:
+        assert oracle_consistent(CM_SEPARATION, m).is_consistent, m
+    verdict = oracle_consistent(CM_SEPARATION, MemoryModel.CM)
+    assert (verdict.is_consistent, verdict.axiom) == (False, EXHAUSTED)
+    [rf] = enumerate_rfs(CM_SEPARATION)
+    cert = check_axiom(CM_SEPARATION, rf, None, Axiom.OB_ACYCLICITY)
+    assert cert == [(E("t1", 0), "ob"), (E("t1", 1), "ob")]
+    assert replay_certificate(CM_SEPARATION, cert, rf)
 
 
 # ---------------------------------------------------------------------------
