@@ -42,8 +42,6 @@ from .oracle import (
     BudgetExceeded,
     OracleLimits,
     all_consistent_rfs,
-    enumerate_mos,
-    enumerate_rfs,
     oracle_consistent,
 )
 from .reductions import (

@@ -129,7 +129,7 @@ class _HbIndex:
     """
 
     def __init__(self, g: PartialExecutionGraph, reach: list[int], back: list[int], cycle=None):
-        self.ids: list[EventId] = [ev.id for ev in g.numbering.events]
+        self.ids: list[EventId] = g.numbering.ids
         self.pos: dict[EventId, int] = g.numbering.index
         self.reach = reach
         self.back = back

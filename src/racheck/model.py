@@ -157,7 +157,8 @@ class Numbering:
     numbers: `spans[t]` is thread t's (start, end), and event i's
     po-successor is i + 1 while i + 1 < end.  `var_writes` lists each
     location's writes in `writes_by_var` order and `write_mask` has their
-    bits set.  Shared through the graph's cache, so never mutated.
+    bits set.  `ids[i]` is `events[i].id`, built on first use.  Shared
+    through the graph's cache, so never mutated.
     """
 
     def __init__(self, g: PartialExecutionGraph):
@@ -178,6 +179,10 @@ class Numbering:
         self.write_mask: dict[str, int] = {
             var: sum(1 << w for w in writes) for var, writes in self.var_writes.items()
         }
+
+    @cached_property
+    def ids(self) -> list[EventId]:
+        return [ev.id for ev in self.events]
 
 
 def build_graph(threads: list[tuple[str, list[tuple[str, str, int]]]]) -> PartialExecutionGraph:

@@ -1,12 +1,11 @@
-"""Brute-force consistency decision for arbitrary execution graphs.
+"""Exhaustive consistency decision for arbitrary execution graphs.
 
-Ground truth for everything else: enumerate value-matching reads-from
-candidates and per-location write orders, and verify the axioms.  The
-public streams are the plain Cartesian products.  The decision entry
-points run the same space as a backtracking search, most-constrained
-read first (fewest candidates, then event id), each read's candidates
-in (thread, index) order, discarding partial assignments only when no
-completion can satisfy the queried model:
+Only the choice of rf is hard: with rf fixed, `_first_mo` builds the
+first valid mo in polynomial time (see below).  The decision entry
+points therefore search the value-matching reads-from candidates by
+backtracking, most-constrained read first (fewest candidates, then event
+id), each read's candidates in (thread, index) order, discarding partial
+assignments only when no completion can satisfy the queried model:
 
  * a po/rf cycle never disappears when more rf edges are added, so
    models mandating porf-acyclicity prune on the first cycle;
@@ -48,13 +47,12 @@ one and returns the same first witness (rf, and the first mo of
 
 At a leaf rf is fixed, and every mo axiom then only forces some write of
 a location before another, so `_first_mo` builds the lexicographically
-first valid mo as a topological sort in polynomial time; only the choice
-of rf is hard.
+first valid mo as a topological sort in polynomial time.
 
-Budgets: `max_rf_candidates` counts the candidates tried (search nodes,
-`_Search.rf_nodes`); exceeding it raises `BudgetExceeded`.  mo synthesis
-needs no budget: `max_mo_permutations` bounds only the orders
-`enumerate_mos` streams.
+Budgets (`OracleLimits`): `max_events` bounds the input and is checked
+before anything else is built; `max_rf_candidates` counts the candidates
+tried (search nodes, `_Search.rf_nodes`).  Exceeding either raises
+`BudgetExceeded`.  mo synthesis needs no budget.
 
 Happens-before and the relaxed forced order are maintained incrementally
 as per-event reachability bitmasks over the graph's shared numbering,
@@ -64,7 +62,6 @@ closure of a porf-acyclic graph: CM's ob check reads them as its index.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .axioms import Axiom, _bits, _check_axiom, _HbIndex, model_needs_mo
@@ -91,24 +88,17 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class OracleLimits:
-    """Enumeration ceilings; exceeding any limit raises, never truncates.
-
-    `max_events` bounds the input, `max_rf_candidates` the search nodes
-    (and the rfs `enumerate_rfs` streams), `max_mo_permutations` the
-    orders `enumerate_mos` streams.
+    """Search ceilings; exceeding either raises `BudgetExceeded`, never
+    truncates.  `max_events` bounds the input, `max_rf_candidates` the
+    search nodes (candidates tried).  mo synthesis is polynomial and has
+    no ceiling.
     """
 
     max_events: int = 128
     max_rf_candidates: int = 1_000_000
-    max_mo_permutations: int = 10_000
 
 
 DEFAULT_LIMITS = OracleLimits()
-
-
-def _check_events(g: PartialExecutionGraph, limits: OracleLimits) -> None:
-    if g.num_events > limits.max_events:
-        raise BudgetExceeded("max_events", limits.max_events)
 
 
 def _read_candidates(g: PartialExecutionGraph) -> list[tuple[Event, list[EventId]]]:
@@ -117,38 +107,6 @@ def _read_candidates(g: PartialExecutionGraph) -> list[tuple[Event, list[EventId
         matches = [w.id for w in g.writes_by_var.get(r.var, []) if w.val == r.val]
         out.append((r, matches))
     return out
-
-
-def enumerate_rfs(g: PartialExecutionGraph, limits: OracleLimits = DEFAULT_LIMITS):
-    """All value-matching reads-from relations, lexicographic in read order.
-
-    Empty stream iff some read has no matching write.
-    """
-    _check_events(g, limits)
-    cands = _read_candidates(g)
-    if any(not matches for _, matches in cands):
-        return
-    count = 0
-    for combo in itertools.product(*(matches for _, matches in cands)):
-        count += 1
-        if count > limits.max_rf_candidates:
-            raise BudgetExceeded("max_rf_candidates", limits.max_rf_candidates)
-        yield ReadsFrom({r.id: wid for (r, _), wid in zip(cands, combo)})
-
-
-def enumerate_mos(g: PartialExecutionGraph, limits: OracleLimits = DEFAULT_LIMITS):
-    """All per-location write orders, lexicographic over sorted locations."""
-    _check_events(g, limits)
-    variables = sorted(g.writes_by_var)
-    perms_per_var = [
-        itertools.permutations([w.id for w in g.writes_by_var[var]]) for var in variables
-    ]
-    count = 0
-    for combo in itertools.product(*perms_per_var):
-        count += 1
-        if count > limits.max_mo_permutations:
-            raise BudgetExceeded("max_mo_permutations", limits.max_mo_permutations)
-        yield ModificationOrder({var: list(order) for var, order in zip(variables, combo)})
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +161,23 @@ class _Encoding:
 
 
 class _Search:
+    """The rf search of one graph under one model, set up for both entry
+    points.  `max_events` is checked before anything is built.  `blocked`
+    is the first read in id order with no value-matching write, or None;
+    the entry points answer a graph with such a read without running the
+    search.
+    """
+
     def __init__(self, g: PartialExecutionGraph, m: MemoryModel, limits: OracleLimits):
+        if g.num_events > limits.max_events:
+            raise BudgetExceeded("max_events", limits.max_events)
         self.g = g
         self.model = m.canonical
         self.limits = limits
+        # most-constrained read first; candidate order stays (thread, index).
+        # Reads without candidates sort first, in id order.
+        self.order = sorted(_read_candidates(g), key=lambda rc: (len(rc[1]), rc[0].id))
+        self.blocked = self.order[0][0].id if self.order and not self.order[0][1] else None
         self.enc = _Encoding(g)
         base = self.model
         relaxed = base in (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC)
@@ -214,9 +185,6 @@ class _Search:
         self.prune_weakrc = not relaxed
         self.prune_relaxed = relaxed
         self.check_ob = base is MemoryModel.CM
-        # most-constrained read first; candidate order stays (thread, index)
-        cands = _read_candidates(g)
-        self.order = sorted(cands, key=lambda rc: (len(rc[1]), rc[0].id))
         self.rf_nodes = 0  # candidates tried, the `max_rf_candidates` budget
         self.backjumps = 0  # returns that skipped a read's remaining candidates
         self.assigned_reads: list[tuple[int, int, int]] = []  # (read, write, var mask)
@@ -422,13 +390,6 @@ def _first_mo(
     return ModificationOrder(per_var)
 
 
-def _unmatched_read(g: PartialExecutionGraph) -> EventId | None:
-    for r, matches in _read_candidates(g):
-        if not matches:
-            return r.id
-    return None
-
-
 def oracle_consistent(
     g: PartialExecutionGraph,
     m: MemoryModel,
@@ -442,11 +403,10 @@ def oracle_consistent(
     except for a read with no matching write anywhere, which is reported
     directly.
     """
-    _check_events(g, limits)
-    blocked = _unmatched_read(g)
-    if blocked is not None:
-        return Verdict.inconsistent(RF_TOTALITY, [(blocked, RF_INV_EDGE)])
-    witness, _ = _Search(g, m, limits).run(stop_at_first=True)
+    search = _Search(g, m, limits)
+    if search.blocked is not None:
+        return Verdict.inconsistent(RF_TOTALITY, [(search.blocked, RF_INV_EDGE)])
+    witness, _ = search.run(stop_at_first=True)
     if witness is None:
         return Verdict.inconsistent(EXHAUSTED, None)
     rf, mo = witness
@@ -459,8 +419,8 @@ def all_consistent_rfs(
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> list[ReadsFrom]:
     """Every rf for which some mo satisfies the model, canonically sorted."""
-    _check_events(g, limits)
-    if _unmatched_read(g) is not None:
+    search = _Search(g, m, limits)
+    if search.blocked is not None:
         return []
-    _, found = _Search(g, m, limits).run(stop_at_first=False)
+    _, found = search.run(stop_at_first=False)
     return sorted(found, key=lambda rf: tuple(sorted(rf.mapping.items())))

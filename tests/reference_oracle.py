@@ -1,4 +1,12 @@
-"""References for the oracle's rf search and its mo synthesis.
+"""References for the oracle: brute-force streams, its rf search and its
+mo synthesis.
+
+`enumerate_rfs` and `enumerate_mos` are the plain Cartesian products of
+each read's value-matching writes and of each location's write orders.
+The tests verify every (rf, mo) pair they stream to decide consistency
+with no search at all.  `unmatched_read` is the first read in id order
+with no value-matching write, which both entry points report for
+rf-totality before any search.
 
 `ChronologicalSearch` is the search that `racheck.oracle._Search.run` ran
 before it learned conflict-directed backjumping: a failed candidate only
@@ -19,12 +27,18 @@ budget exits, with no more nodes.
 `permutation_first_mo` is the mo synthesis that `racheck.oracle._first_mo`
 ran before it became a topological sort: a depth-first search over
 permutations of each location's writes (one joint search over all
-locations under SRA), cut off after `max_mo_permutations` placements.
-The differential tests hold the topological sort to its result wherever
-it stays within that budget.
+locations under SRA), cut off after a given number of placements.  The
+differential tests hold the topological sort to its result wherever it
+stays within that ceiling.
+
+The library's `OracleLimits` bounds only the search, so the two mo
+references take their own ceiling, `MAX_MO_PERMUTATIONS` by default;
+exceeding it raises `BudgetExceeded("max_mo_permutations")`.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from racheck.axioms import Axiom, _bits, check_axiom, model_needs_mo
 from racheck.model import (
@@ -35,12 +49,51 @@ from racheck.model import (
     ReadsFrom,
 )
 from racheck.oracle import (
+    DEFAULT_LIMITS,
     BudgetExceeded,
     OracleLimits,
     _Encoding,
     _first_mo,
+    _read_candidates,
     _Search,
 )
+
+# orders `enumerate_mos` streams, placements `permutation_first_mo` tries
+MAX_MO_PERMUTATIONS = 10_000
+
+
+def unmatched_read(g: PartialExecutionGraph) -> EventId | None:
+    return next((r.id for r, matches in _read_candidates(g) if not matches), None)
+
+
+def enumerate_rfs(g: PartialExecutionGraph, limits: OracleLimits = DEFAULT_LIMITS):
+    """All value-matching reads-from relations, lexicographic in read order.
+
+    Empty stream iff some read has no matching write.
+    """
+    if g.num_events > limits.max_events:
+        raise BudgetExceeded("max_events", limits.max_events)
+    cands = _read_candidates(g)
+    count = 0
+    for combo in itertools.product(*(matches for _, matches in cands)):
+        count += 1
+        if count > limits.max_rf_candidates:
+            raise BudgetExceeded("max_rf_candidates", limits.max_rf_candidates)
+        yield ReadsFrom({r.id: wid for (r, _), wid in zip(cands, combo)})
+
+
+def enumerate_mos(g: PartialExecutionGraph, max_permutations: int = MAX_MO_PERMUTATIONS):
+    """All per-location write orders, lexicographic over sorted locations."""
+    variables = sorted(g.writes_by_var)
+    perms_per_var = [
+        itertools.permutations([w.id for w in g.writes_by_var[var]]) for var in variables
+    ]
+    count = 0
+    for combo in itertools.product(*perms_per_var):
+        count += 1
+        if count > max_permutations:
+            raise BudgetExceeded("max_mo_permutations", max_permutations)
+        yield ModificationOrder({var: list(order) for var, order in zip(variables, combo)})
 
 
 class ChronologicalSearch(_Search):
@@ -187,7 +240,7 @@ def permutation_first_mo(
     enc: _Encoding,
     rf: ReadsFrom,
     model: MemoryModel,
-    limits: OracleLimits,
+    max_permutations: int = MAX_MO_PERMUTATIONS,
 ) -> ModificationOrder | None:
     """First modification order satisfying the model's mo axioms for a
     fixed rf, in lexicographic permutation order; None when none exists."""
@@ -198,8 +251,8 @@ def permutation_first_mo(
 
     def spend() -> None:
         budget[0] += 1
-        if budget[0] > limits.max_mo_permutations:
-            raise BudgetExceeded("max_mo_permutations", limits.max_mo_permutations)
+        if budget[0] > max_permutations:
+            raise BudgetExceeded("max_mo_permutations", max_permutations)
 
     def hb(a: EventId, b: EventId) -> bool:
         return bool(enc.reach[enc.index[a]] & (1 << enc.index[b]))

@@ -31,7 +31,6 @@ from racheck import (
     cnf_to_twowriter,
     cnf_to_twowriter_relaxed,
     derive_mo,
-    enumerate_rfs,
     graph_to_onewriter,
     max_writers,
     oracle_consistent,
@@ -47,11 +46,11 @@ from racheck.harness import FuzzParams, differential_run
 from racheck.traceio import TraceDocument, parse_trace, serialize_trace
 
 import fixtures as fx
+from reference_oracle import enumerate_mos, enumerate_rfs
 
 E = EventId
-SWEEP_LIMITS = OracleLimits(
-    max_events=128, max_rf_candidates=5_000_000, max_mo_permutations=1_000_000
-)
+SWEEP_LIMITS = OracleLimits(max_events=128, max_rf_candidates=5_000_000)
+SWEEP_MO_PERMUTATIONS = 1_000_000  # ceiling of the reference `enumerate_mos`
 RA_FAMILY = [MemoryModel.SRA, MemoryModel.RA, MemoryModel.WRA]
 
 
@@ -340,10 +339,8 @@ def test_criterion_08_hierarchy():
                 writer_bound=None,
             )
             g = random_graph(params)
-            from racheck import enumerate_mos
-
             for rf in enumerate_rfs(g, SWEEP_LIMITS):
-                for mo in enumerate_mos(g, SWEEP_LIMITS):
+                for mo in enumerate_mos(g, SWEEP_MO_PERMUTATIONS):
                     sra = verify(g, rf, mo, MemoryModel.SRA).is_consistent
                     ra = verify(g, rf, mo, MemoryModel.RA).is_consistent
                     wra = verify(g, rf, mo, MemoryModel.WRA).is_consistent

@@ -1,5 +1,6 @@
 """The public names of `racheck`, listed so that an export change is deliberate."""
 
+import dataclasses
 import inspect
 
 import racheck
@@ -47,8 +48,6 @@ PUBLIC_NAMES = [
     "compute_ob",
     "derive_mo",
     "differential_run",
-    "enumerate_mos",
-    "enumerate_rfs",
     "graph_to_onewriter",
     "harness",
     "hb_reaches",
@@ -77,6 +76,11 @@ PUBLIC_NAMES = [
 
 def test_public_names():
     assert sorted(racheck.__all__) == PUBLIC_NAMES
+
+
+def test_oracle_limits_fields():
+    fields = [f.name for f in dataclasses.fields(racheck.OracleLimits)]
+    assert fields == ["max_events", "max_rf_candidates"]
 
 
 def test_solve_parameters():

@@ -18,8 +18,6 @@ from racheck import (
     UnknownEvent,
     build_graph,
     compute_ob,
-    enumerate_mos,
-    enumerate_rfs,
     hb_reaches,
     random_graph,
     replay_certificate,
@@ -33,6 +31,7 @@ from racheck.model import MO_EDGE, PO_EDGE, RF_EDGE, RF_INV_EDGE
 
 import fixtures as fx
 import reference_axioms as ref
+from reference_oracle import enumerate_mos, enumerate_rfs
 
 E = EventId
 WEAK_MODELS = [MemoryModel.SRA, MemoryModel.RA, MemoryModel.WRA]

@@ -11,7 +11,6 @@ from racheck import (
     ModelError,
     ReadsFrom,
     build_graph,
-    enumerate_rfs,
     max_writers,
     rf_leq,
     rf_min,
@@ -20,6 +19,7 @@ from racheck import (
 from racheck.model import normalize_cycle
 
 import fixtures as fx
+from reference_oracle import enumerate_rfs
 
 E = EventId
 

@@ -19,8 +19,6 @@ from racheck import (
     cnf_to_threewriter,
     cnf_to_twowriter,
     cnf_to_twowriter_relaxed,
-    enumerate_mos,
-    enumerate_rfs,
     oracle_consistent,
     random_graph,
     solve,
@@ -29,11 +27,18 @@ from racheck import (
 from racheck import axioms, oracle
 from racheck.axioms import Axiom, check_axiom, model_needs_mo, replay_certificate
 from racheck.harness import FuzzParams
-from racheck.oracle import EXHAUSTED, _Search, _unmatched_read
+from racheck.oracle import EXHAUSTED, _Search
 from racheck.reductions import CnfFormula
+from racheck.solver import RF_TOTALITY
 
 import fixtures as fx
-from reference_oracle import ChronologicalSearch, permutation_first_mo
+from reference_oracle import (
+    ChronologicalSearch,
+    enumerate_mos,
+    enumerate_rfs,
+    permutation_first_mo,
+    unmatched_read,
+)
 
 E = EventId
 
@@ -51,7 +56,7 @@ RELAXED_MODELS = (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC)
 
 
 # ---------------------------------------------------------------------------
-# Enumeration streams
+# Enumeration streams (the references in reference_oracle.py)
 # ---------------------------------------------------------------------------
 
 
@@ -143,6 +148,46 @@ def test_all_consistent_rfs_cyclic_fixture_empty():
     assert all_consistent_rfs(g, MemoryModel.WRA) == []
 
 
+# t2 is listed first; each thread has a read that no write matches
+UNMATCHED_READS = build_graph(
+    [
+        ("t2", [("w", "x", 1), ("r", "y", 7)]),
+        ("t1", [("r", "x", 5), ("w", "y", 1)]),
+    ]
+)
+
+
+def test_rf_totality_names_first_unmatched_read_in_id_order():
+    assert unmatched_read(UNMATCHED_READS) == E("t1", 0)
+    for m in CANONICAL_MODELS:
+        verdict = oracle_consistent(UNMATCHED_READS, m)
+        assert (verdict.is_consistent, verdict.axiom) == (False, RF_TOTALITY), m
+        assert verdict.certificate == [(E("t1", 0), "rf^-1")], m
+        assert all_consistent_rfs(UNMATCHED_READS, m) == [], m
+
+
+def test_max_events_is_checked_first():
+    # before the rf-totality answer, and before any candidate is computed
+    limits = OracleLimits(max_events=UNMATCHED_READS.num_events - 1)
+    for entry in (oracle_consistent, all_consistent_rfs):
+        with mock.patch.object(oracle, "_read_candidates") as candidates:
+            with pytest.raises(BudgetExceeded) as exc:
+                entry(UNMATCHED_READS, MemoryModel.WRA, limits)
+        assert exc.value.limit == "max_events", entry.__name__
+        assert candidates.call_count == 0, entry.__name__
+
+
+def test_candidates_computed_once_per_call():
+    g = fx.single_writer_consistent()
+    assert unmatched_read(g) is None
+    for entry in (oracle_consistent, all_consistent_rfs):
+        with mock.patch.object(
+            oracle, "_read_candidates", wraps=oracle._read_candidates
+        ) as candidates:
+            entry(g, MemoryModel.WRA)
+        assert candidates.call_count == 1, entry.__name__
+
+
 # ---------------------------------------------------------------------------
 # Budgets
 # ---------------------------------------------------------------------------
@@ -165,7 +210,7 @@ def test_budget_rf_candidates():
 def test_budget_mo_permutations():
     g = build_graph([("t1", [("w", "x", 1), ("w", "x", 2), ("w", "x", 3), ("w", "x", 4)])])
     with pytest.raises(BudgetExceeded):
-        list(enumerate_mos(g, OracleLimits(max_mo_permutations=5)))
+        list(enumerate_mos(g, max_permutations=5))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +218,11 @@ def test_budget_mo_permutations():
 # ---------------------------------------------------------------------------
 
 
-def _product_consistent(g, m, limits):
+def _product_consistent(g, m, limits, max_permutations):
     # graphs without reads still yield the single empty rf
     for rf in enumerate_rfs(g, limits):
         if model_needs_mo(m):
-            for mo in enumerate_mos(g, limits):
+            for mo in enumerate_mos(g, max_permutations):
                 if verify(g, rf, mo, m).is_consistent:
                     return True
         else:
@@ -187,7 +232,7 @@ def _product_consistent(g, m, limits):
 
 
 def test_oracle_agrees_with_product_search():
-    limits = OracleLimits(max_rf_candidates=10**6, max_mo_permutations=10**6)
+    limits = OracleLimits(max_rf_candidates=10**6)
     for seed in range(60):
         g = random_graph(
             FuzzParams(
@@ -201,7 +246,7 @@ def test_oracle_agrees_with_product_search():
         for m in MemoryModel:
             assert (
                 oracle_consistent(g, m, limits).is_consistent
-                == _product_consistent(g, m, limits)
+                == _product_consistent(g, m, limits, max_permutations=10**6)
             ), (seed, m)
 
 
@@ -314,7 +359,7 @@ def oracle_cases(draw):
         )
     else:
         g = GADGETS[draw(st.sampled_from(sorted(GADGETS)))](draw(formulas()))
-    assume(_unmatched_read(g) is None)
+    assume(unmatched_read(g) is None)
     limits = OracleLimits(max_rf_candidates=draw(st.sampled_from([30, 20_000])))
     return g, draw(st.sampled_from(CANONICAL_MODELS)), limits
 
@@ -487,7 +532,7 @@ def test_cm_separation_example():
 # ---------------------------------------------------------------------------
 
 # placements the permutation reference may try per leaf before it gives up
-REFERENCE_MO_LIMITS = OracleLimits(max_mo_permutations=200)
+REFERENCE_MO_PERMUTATIONS = 200
 # leaves without an mo and with at most this many orders in all are checked
 # against every order, the first few of each input
 MAX_CHECKED_ORDERS = math.factorial(6)
@@ -512,7 +557,7 @@ def mo_cases(draw):
         assume(all(len(ws) <= 7 for ws in g.writes_by_var.values()))
     else:
         g = GADGETS[draw(st.sampled_from(sorted(GADGETS)))](draw(formulas()))
-    assume(_unmatched_read(g) is None)
+    assume(unmatched_read(g) is None)
     return g, draw(st.sampled_from(MO_MODELS))
 
 
@@ -541,7 +586,7 @@ def _checked_leaves(g, m):
             assert not any(verify(g, rf, o, model).is_consistent for o in enumerate_mos(g))
             exhausted.append(rf)
         try:
-            ref = permutation_first_mo(g, enc, rf, model, REFERENCE_MO_LIMITS)
+            ref = permutation_first_mo(g, enc, rf, model, REFERENCE_MO_PERMUTATIONS)
         except BudgetExceeded:
             over_budget = True
         else:

@@ -16,7 +16,6 @@ from racheck import (
     cnf_to_threewriter,
     cnf_to_twowriter,
     cnf_to_twowriter_relaxed,
-    enumerate_rfs,
     graph_to_onewriter,
     max_writers,
     oracle_consistent,
@@ -29,6 +28,7 @@ from racheck.oracle import EXHAUSTED
 from racheck.solver import RF_TOTALITY
 
 import fixtures as fx
+from reference_oracle import enumerate_rfs
 
 
 def _ops(g, tid):
