@@ -19,7 +19,6 @@ from .model import (
     PO_EDGE,
     RF_EDGE,
     RF_INV_EDGE,
-    Event,
     EventId,
     MemoryModel,
     ModificationOrder,
@@ -241,6 +240,24 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _link(reach, coreach, heads: int, tails: int) -> tuple[int, int]:
+    """Add every edge from `heads` to `tails` to a transitive closure.
+
+    Returns (sources, targets) as they stood before: the events that reach
+    a head or are one, and those a tail reaches or that are one.
+    """
+    sources, targets = heads, tails
+    for h in _bits(heads):
+        sources |= coreach[h]
+    for t in _bits(tails):
+        targets |= reach[t]
+    for s in _bits(sources):
+        reach[s] |= targets
+    for t in _bits(targets):
+        coreach[t] |= sources
+    return sources, targets
+
+
 def hb_reaches(g: PartialExecutionGraph, rf: ReadsFrom, src: EventId, dst: EventId) -> bool:
     """True iff (src, dst) is in the transitive closure of po and rf.
 
@@ -337,6 +354,7 @@ class _ObservedOrder:
         # Rule 1: hb restricted to the past.  Every hb path between two
         # events of the past stays inside it, so the seed is already closed.
         rows = {e: hb.reach[e] & past for e in _bits(past)}
+        cols = {e: hb.back[e] & past for e in _bits(past)}  # rows transposed
         gen = {e: row & ~(1 << e) for e, row in rows.items()}
 
         # Conflicting triplets anchored at reads po-at-or-before the anchor.
@@ -364,11 +382,7 @@ class _ObservedOrder:
             if not new:
                 break
             for o, w in new:
-                grow = rows[w] | 1 << w
-                rows[o] |= grow
-                for e, row in rows.items():
-                    if row >> o & 1:
-                        rows[e] = row | grow
+                _link(rows, cols, 1 << o, 1 << w)
             self.added += new
         self.rows = rows
         self.gen = gen

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .axioms import MissingMo, verify
-from .harness import FuzzParams, differential_run
+from .harness import FuzzParams, InvalidParams, differential_run
 from .model import InvalidRf, MemoryModel, ModelError, ReadsFrom, Verdict, max_writers
 from .oracle import DEFAULT_LIMITS, BudgetExceeded, all_consistent_rfs, oracle_consistent
 from .reductions import (
@@ -241,10 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, NotThreeCnf, SelfLoop, MissingMo, InvalidRf, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (
+        ParseError, NotThreeCnf, SelfLoop, MissingMo, InvalidRf, ModelError, InvalidParams, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

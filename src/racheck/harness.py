@@ -16,7 +16,6 @@ from .axioms import verify
 from .model import (
     MemoryModel,
     PartialExecutionGraph,
-    ReadsFrom,
     Verdict,
     build_graph,
     max_writers,

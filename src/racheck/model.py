@@ -156,9 +156,11 @@ class Numbering:
     thread-id order and each thread is one contiguous ascending span of
     numbers: `spans[t]` is thread t's (start, end), and event i's
     po-successor is i + 1 while i + 1 < end.  `var_writes` lists each
-    location's writes in `writes_by_var` order and `write_mask` has their
-    bits set.  `ids[i]` is `events[i].id`, built on first use.  Shared
-    through the graph's cache, so never mutated.
+    location's writes in ascending order and `write_mask` has their bits
+    set.  Built on first use: `ids[i]` is `events[i].id`, `reads` the read
+    numbers ascending, and `matches[(var, val)]` the writes, ascending, that
+    a read of `var` with value `val` may take.  Shared through the graph's
+    cache, so never mutated.
     """
 
     def __init__(self, g: PartialExecutionGraph):
@@ -183,6 +185,18 @@ class Numbering:
     @cached_property
     def ids(self) -> list[EventId]:
         return [ev.id for ev in self.events]
+
+    @cached_property
+    def reads(self) -> list[int]:
+        return [i for i, ev in enumerate(self.events) if ev.is_read]
+
+    @cached_property
+    def matches(self) -> dict[tuple[str, int], list[int]]:
+        out: dict[tuple[str, int], list[int]] = {}
+        for var, writes in self.var_writes.items():
+            for w in writes:
+                out.setdefault((var, self.events[w].val), []).append(w)
+        return out
 
 
 def build_graph(threads: list[tuple[str, list[tuple[str, str, int]]]]) -> PartialExecutionGraph:

@@ -64,10 +64,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import Axiom, _bits, _check_axiom, _HbIndex, model_needs_mo
+from .axioms import Axiom, _bits, _check_axiom, _HbIndex, _link, model_needs_mo
 from .model import (
     RF_INV_EDGE,
-    Event,
     EventId,
     MemoryModel,
     ModificationOrder,
@@ -101,35 +100,9 @@ class OracleLimits:
 DEFAULT_LIMITS = OracleLimits()
 
 
-def _read_candidates(g: PartialExecutionGraph) -> list[tuple[Event, list[EventId]]]:
-    out = []
-    for r in g.reads:
-        matches = [w.id for w in g.writes_by_var.get(r.var, []) if w.val == r.val]
-        out.append((r, matches))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Backtracking search
 # ---------------------------------------------------------------------------
-
-
-def _link(reach: list[int], coreach: list[int], heads: int, tails: int) -> tuple[int, int]:
-    """Add every edge from `heads` to `tails` to a transitive closure.
-
-    Returns (sources, targets) as they stood before: the events that reach
-    a head or are one, and those a tail reaches or that are one.
-    """
-    sources, targets = heads, tails
-    for h in _bits(heads):
-        sources |= coreach[h]
-    for t in _bits(tails):
-        targets |= reach[t]
-    for s in _bits(sources):
-        reach[s] |= targets
-    for t in _bits(targets):
-        coreach[t] |= sources
-    return sources, targets
 
 
 class _Encoding:
@@ -174,10 +147,16 @@ class _Search:
         self.g = g
         self.model = m.canonical
         self.limits = limits
-        # most-constrained read first; candidate order stays (thread, index).
-        # Reads without candidates sort first, in id order.
-        self.order = sorted(_read_candidates(g), key=lambda rc: (len(rc[1]), rc[0].id))
-        self.blocked = self.order[0][0].id if self.order and not self.order[0][1] else None
+        # (read, its candidate writes) as event numbers, most-constrained
+        # read first; candidates stay ascending, which is (thread, index)
+        # order.  Reads without candidates sort first, in id order.
+        num = g.numbering
+        events, matches = num.events, num.matches
+        self.order = sorted(
+            ((r, matches.get((events[r].var, events[r].val), ())) for r in num.reads),
+            key=lambda rc: (len(rc[1]), rc[0]),
+        )
+        self.blocked = num.ids[self.order[0][0]] if self.order and not self.order[0][1] else None
         self.enc = _Encoding(g)
         base = self.model
         relaxed = base in (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC)
@@ -270,13 +249,11 @@ class _Search:
                 # A failed leaf, and a leaf recorded while enumerating,
                 # blame every depth: the search backtracks chronologically.
                 return leaf(), every_depth
-            rev, matches = self.order[depth]
-            r = enc.index[rev.id]
-            var_mask = enc.var_write_mask[rev.var]
+            r, matches = self.order[depth]
+            var_mask = enc.var_write_mask[enc.events[r].var]
             me = 1 << depth
             conflicts = 0
-            for k, wid in enumerate(matches):
-                w = enc.index[wid]
+            for k, w in enumerate(matches):
                 self.rf_nodes += 1
                 if self.rf_nodes > self.limits.max_rf_candidates:
                     raise BudgetExceeded(
@@ -372,8 +349,9 @@ def _first_mo(
     else:
         before = enc.mo_coreach
     per_var: dict[str, list[EventId]] = {}
-    for var in sorted(g.writes_by_var):
-        writes = [enc.index[w.id] for w in g.writes_by_var[var]]
+    var_writes = g.numbering.var_writes
+    for var in sorted(var_writes):
+        writes = var_writes[var]
         remaining = enc.var_write_mask[var]
         order: list[EventId] = []
         while remaining:

@@ -289,9 +289,11 @@ def graph_to_onewriter(graph: UndirectedGraph) -> tuple[PartialExecutionGraph, R
         threads.append((f"td_{v}", row))
     g = build_graph(threads)
 
+    num = g.numbering
     mapping: dict[EventId, EventId] = {}
-    for r in g.reads:
-        matches = [w for w in g.writes_by_var[r.var] if w.val == r.val]
-        assert len(matches) == 1, f"read {r} should have a unique writer"
-        mapping[r.id] = matches[0].id
+    for r in num.reads:
+        ev = num.events[r]
+        matches = num.matches.get((ev.var, ev.val), ())
+        assert len(matches) == 1, f"read {ev} should have a unique writer"
+        mapping[ev.id] = num.events[matches[0]].id
     return g, ReadsFrom(mapping)

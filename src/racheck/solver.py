@@ -117,27 +117,17 @@ def derive_mo(g: PartialExecutionGraph) -> ModificationOrder:
 
 
 class _State:
+    """rf over event numbers, which order a location's writes as po does."""
+
     def __init__(self, g: PartialExecutionGraph):
         num = g.numbering
         self.events = num.events
         self.thread_of = num.thread_of
         self.thread_span = num.spans
-        # writes per location in writer-thread program order
         self.var_writes = num.var_writes
-        self.write_pos: dict[int, int] = {}
-        # (location, value) -> positions of the matching writes, ascending
-        self.match_pos: dict[tuple[str, int], list[int]] = {}
-        for var, writes in self.var_writes.items():
-            for pos, w in enumerate(writes):
-                self.write_pos[w] = pos
-                self.match_pos.setdefault((var, self.events[w].val), []).append(pos)
-        self.reads: list[int] = [num.index[r.id] for r in g.reads]
+        self.matches = num.matches
+        self.reads = num.reads
         self.rf: dict[int, int] = {}
-        self.rf_pos: dict[int, int] = {}
-
-    def assign(self, r: int, w: int) -> None:
-        self.rf[r] = w
-        self.rf_pos[r] = self.write_pos[w]
 
     def rf_relation(self) -> ReadsFrom:
         return ReadsFrom(
@@ -146,7 +136,7 @@ class _State:
 
 
 def _earliest_match(st: _State, r: int, start: int, allow_future: bool) -> int:
-    """The po-earliest write at position >= start that read r can take, or -1.
+    """The po-earliest write numbered >= start that read r can take, or -1.
 
     Under the porf-mandating models a read in the writer thread may only
     take writes strictly above itself: anything below closes a po/rf
@@ -155,13 +145,12 @@ def _earliest_match(st: _State, r: int, start: int, allow_future: bool) -> int:
     model has no such axiom, so there the whole thread qualifies.
     """
     ev = st.events[r]
-    positions = st.match_pos.get((ev.var, ev.val), ())
-    j = bisect_left(positions, start)
-    if j == len(positions):
+    writes = st.matches.get((ev.var, ev.val), ())
+    j = bisect_left(writes, start)
+    if j == len(writes):
         return -1
-    w = st.var_writes[ev.var][positions[j]]
-    wid = st.events[w].id
-    if not allow_future and wid.thread == ev.id.thread and wid.index >= ev.id.index:
+    w = writes[j]
+    if not allow_future and st.thread_of[w] == st.thread_of[r] and w >= r:
         return -1
     return w
 
@@ -173,7 +162,7 @@ def _init_state(g: PartialExecutionGraph, allow_future: bool = False) -> _State:
         w = _earliest_match(st, r, 0, allow_future)
         if w < 0:
             raise NoMatchingWrite(st.events[r].id)
-        st.assign(r, w)
+        st.rf[r] = w
     return st
 
 
@@ -191,28 +180,27 @@ def _blocked_certificate(v: Violation) -> list[tuple[EventId, str]]:
 def _raise_read(
     st: _State,
     r: int,
-    k0: int,
+    lo: int,
     via: int,
     trace: SolverTrace,
     relaxed: bool,
 ) -> Verdict | None:
-    """Raise read r to the earliest matching write at position >= k0, the
-    lower bound exposed by write k0 (through read `via`, or -1 for hb or
-    po).  Returns the coherence verdict when no such write exists."""
-    if k0 <= st.rf_pos[r]:
+    """Raise read r to the earliest matching write numbered >= lo, the
+    lower bound exposed by write lo (-1 for none) through read `via` (-1
+    for hb or po).  Returns the coherence verdict when no such write exists."""
+    if lo <= st.rf[r]:
         return None
-    ev = st.events[r]
     violation = Violation(
-        read=ev.id,
+        read=st.events[r].id,
         write=st.events[st.rf[r]].id,
-        blocker=st.events[st.var_writes[ev.var][k0]].id,
+        blocker=st.events[lo].id,
         via_read=st.events[via].id if via >= 0 else None,
     )
-    w = _earliest_match(st, r, k0, allow_future=relaxed)
+    w = _earliest_match(st, r, lo, allow_future=relaxed)
     if w < 0:
         axiom = Axiom.RELAXED_READ_COHERENCE if relaxed else Axiom.WEAK_READ_COHERENCE
         return Verdict.inconsistent(axiom.value, _blocked_certificate(violation))
-    st.assign(r, w)
+    st.rf[r] = w
     trace.iterations.append(SolverIteration(violation, st.events[w].id))
     return None
 
@@ -221,23 +209,24 @@ def _relaxed_pass(st: _State, trace: SolverTrace) -> Verdict | None:
     """Least relaxed-read-coherent rf, in one po-order pass per thread.
 
     With mo forced to po, a read must take a write at or above every
-    position of its location that a po-earlier event of its own thread
+    write of its location that a po-earlier event of its own thread
     exposes: a write of the thread itself, or the write an earlier read
-    took.  Threads do not interact, so sorted-id order repeats the step
-    loop's choice of first violation exactly.
+    took; numbers order a location's writes as mo does.  Threads do not
+    interact, so sorted-id order repeats the step loop's choice of first
+    violation exactly.
     """
     for start, end in st.thread_span:
-        best: dict[str, tuple[int, int]] = {}  # location -> (position, exposing read or -1)
+        best: dict[str, tuple[int, int]] = {}  # location -> (write, exposing read or -1)
         for e in range(start, end):
             ev = st.events[e]
             if ev.is_read:
-                k0, via = best.get(ev.var, (-1, -1))
-                failure = _raise_read(st, e, k0, via, trace, relaxed=True)
+                lo, via = best.get(ev.var, (-1, -1))
+                failure = _raise_read(st, e, lo, via, trace, relaxed=True)
                 if failure is not None:
                     return failure
-                exposed = (st.rf_pos[e], e)
+                exposed = (st.rf[e], e)
             else:
-                exposed = (st.write_pos[e], -1)
+                exposed = (e, -1)
             if exposed[0] > best.get(ev.var, (-1, -1))[0]:
                 best[ev.var] = exposed
     return None
@@ -276,8 +265,9 @@ def _causal_pass(st: _State, trace: SolverTrace | None) -> Verdict | None:
                 writes = st.var_writes[ev.var]
                 u = st.thread_of[writes[0]]
                 before = e if u == t else st.thread_span[u][0] + clock[u]
-                k0 = bisect_left(writes, before) - 1
-                failure = _raise_read(st, e, k0, -1, trace, relaxed=False)
+                j = bisect_left(writes, before)
+                lo = writes[j - 1] if j else -1
+                failure = _raise_read(st, e, lo, -1, trace, relaxed=False)
                 if failure is not None:
                     return failure
             w = st.rf[e]

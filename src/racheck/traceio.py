@@ -207,6 +207,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError(lineno, "expected: p cnf <vars> <clauses>")
             header = (_parse_int(tokens[2], lineno), _parse_int(tokens[3], lineno))
+            if min(header) < 0:
+                raise ParseError(lineno, "negative variable or clause count")
             continue
         if header is None:
             raise ParseError(lineno, "clause before header")

@@ -1,6 +1,8 @@
 """References for the oracle: brute-force streams, its rf search and its
 mo synthesis.
 
+`read_candidates` lists each read's value-matching writes by scanning its
+location's writes, the table that `Numbering.matches` replaces.
 `enumerate_rfs` and `enumerate_mos` are the plain Cartesian products of
 each read's value-matching writes and of each location's write orders.
 The tests verify every (rf, mo) pair they stream to decide consistency
@@ -42,6 +44,7 @@ import itertools
 
 from racheck.axioms import Axiom, _bits, check_axiom, model_needs_mo
 from racheck.model import (
+    Event,
     EventId,
     MemoryModel,
     ModificationOrder,
@@ -54,7 +57,6 @@ from racheck.oracle import (
     OracleLimits,
     _Encoding,
     _first_mo,
-    _read_candidates,
     _Search,
 )
 
@@ -62,8 +64,18 @@ from racheck.oracle import (
 MAX_MO_PERMUTATIONS = 10_000
 
 
+def read_candidates(g: PartialExecutionGraph) -> list[tuple[Event, list[EventId]]]:
+    """Each read in id order with its value-matching writes in (thread,
+    index) order, by a scan of every write of its location."""
+    out = []
+    for r in g.reads:
+        matches = [w.id for w in g.writes_by_var.get(r.var, []) if w.val == r.val]
+        out.append((r, matches))
+    return out
+
+
 def unmatched_read(g: PartialExecutionGraph) -> EventId | None:
-    return next((r.id for r, matches in _read_candidates(g) if not matches), None)
+    return next((r.id for r, matches in read_candidates(g) if not matches), None)
 
 
 def enumerate_rfs(g: PartialExecutionGraph, limits: OracleLimits = DEFAULT_LIMITS):
@@ -73,7 +85,7 @@ def enumerate_rfs(g: PartialExecutionGraph, limits: OracleLimits = DEFAULT_LIMIT
     """
     if g.num_events > limits.max_events:
         raise BudgetExceeded("max_events", limits.max_events)
-    cands = _read_candidates(g)
+    cands = read_candidates(g)
     count = 0
     for combo in itertools.product(*(matches for _, matches in cands)):
         count += 1
@@ -175,11 +187,11 @@ class ChronologicalSearch(_Search):
         def descend(depth: int) -> bool:
             if depth == len(self.order):
                 return leaf()
-            rev, matches = self.order[depth]
-            r = enc.index[rev.id]
+            r, matches = self.order[depth]
+            rev = enc.events[r]
             var_mask = enc.var_write_mask[rev.var]
-            for wid in matches:
-                w = enc.index[wid]
+            for w in matches:
+                wid = enc.events[w].id
                 self.rf_nodes += 1
                 if self.rf_nodes > self.limits.max_rf_candidates:
                     raise BudgetExceeded(

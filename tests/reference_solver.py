@@ -3,13 +3,17 @@
 `initialize_rf` binds every read to its po-earliest matching write,
 `next_violation` finds the first read that breaks the coherence pattern,
 and `update_rf` raises that read to the po-earliest matching write at or
-after the blocking one.  Each repair is a strict step up in the pointwise
+after the blocking one.  The solver's state names writes by event number;
+the scans here compare a write's position among its location's writes,
+which `_pos` computes.  Each repair is a strict step up in the pointwise
 po order on rf, so the loop's fixpoint is below every coherent rf; the
 tests hold `solve` to it.  The loop rescans the whole graph after every
 repair, so it stays here as a reference.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from racheck.axioms import Axiom
 from racheck.model import EventId, PartialExecutionGraph, ReadsFrom
@@ -26,6 +30,11 @@ class NoLaterWrite(Exception):
     def __init__(self, read_id: EventId):
         super().__init__(f"no matching write late enough for read {read_id}")
         self.read_id = read_id
+
+
+def _pos(st: _State, w: int) -> int:
+    """Write w's position among its location's writes (po order)."""
+    return bisect_left(st.var_writes[st.events[w].var], w)
 
 
 def _po_next(st: _State, e: int) -> int:
@@ -111,7 +120,7 @@ def _scan_weak(st: _State) -> Violation | None:
     groups: dict[tuple[str, int], list[int]] = {}
     for r in st.reads:
         ev = st.events[r]
-        k = st.rf_pos[r]
+        k = _pos(st, st.rf[r])
         if k + 1 < len(st.var_writes[ev.var]):
             groups.setdefault((ev.var, k), []).append(r)
     violated: list[int] = []
@@ -125,7 +134,7 @@ def _scan_weak(st: _State) -> Violation | None:
     ev = st.events[r]
     writes = st.var_writes[ev.var]
     back = backward_set(st, r)
-    k = st.rf_pos[r]
+    k = _pos(st, st.rf[r])
     best = max(j for j in range(k + 1, len(writes)) if writes[j] in back)
     return Violation(
         read=ev.id,
@@ -149,13 +158,13 @@ def _scan_relaxed(st: _State) -> Violation | None:
         for e in range(start, end):
             ev = st.events[e]
             if ev.is_read:
-                k = st.rf_pos[e]
+                k = _pos(st, st.rf[e])
                 seen = best.get(ev.var)
                 if seen is not None and seen[0] > k:
                     candidates.append((e, seen[0], seen[1]))
-                exposed = (st.rf_pos[e], e)
+                exposed = (k, e)
             else:
-                exposed = (st.write_pos[e], None)
+                exposed = (_pos(st, e), None)
             cur = best.get(ev.var)
             if cur is None or exposed[0] > cur[0]:
                 best[ev.var] = exposed
@@ -166,7 +175,7 @@ def _scan_relaxed(st: _State) -> Violation | None:
     writes = st.var_writes[ev.var]
     return Violation(
         read=ev.id,
-        write=st.events[writes[st.rf_pos[e]]].id,
+        write=st.events[st.rf[e]].id,
         blocker=st.events[writes[pos]].id,
         via_read=st.events[via].id if via is not None else None,
     )
@@ -177,10 +186,10 @@ def _apply_update(
 ) -> EventId:
     index = g.numbering.index
     r = index[violation.read]
-    w = _earliest_match(st, r, st.write_pos[index[violation.blocker]], allow_future)
+    w = _earliest_match(st, r, index[violation.blocker], allow_future)
     if w < 0:
         raise NoLaterWrite(violation.read)
-    st.assign(r, w)
+    st.rf[r] = w
     return st.events[w].id
 
 
@@ -188,7 +197,7 @@ def _state_from_rf(g: PartialExecutionGraph, rf: ReadsFrom) -> _State:
     st = _State(g)
     index = g.numbering.index
     for rid, wid in rf.mapping.items():
-        st.assign(index[rid], index[wid])
+        st.rf[index[rid]] = index[wid]
     return st
 
 

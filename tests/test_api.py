@@ -1,7 +1,9 @@
 """The public names of `racheck`, listed so that an export change is deliberate."""
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import racheck
 
@@ -97,3 +99,28 @@ def test_check_axiom_parameters():
 def test_first_mo_parameters():
     params = inspect.signature(racheck.oracle._first_mo).parameters
     assert list(params) == ["g", "enc", "rf", "model"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads (a name only in a string,
+    such as a quoted annotation, counts as unread)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+# No linter is assumed; `__init__.py` is exempt, as its imports re-export.
+def test_no_unused_imports():
+    src = Path(racheck.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}

@@ -206,6 +206,17 @@ def test_reduce_rejects_bad_input(workdir, capsys):
     assert main(["reduce", "triangle", "--input", str(loop), "--output", "-"]) == 2
 
 
+def test_input_errors_exit_2_without_traceback(workdir, capsys):
+    header = workdir / "negative.cnf"
+    header.write_text("p cnf -1 0\n")
+    assert main(["reduce", "cnf3w", "--input", str(header), "--output", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    for flag in ("--threads", "--locations"):
+        argv = ["fuzz", flag, "0", "--events", "5", "--failure-dir", str(workdir / "f")]
+        assert main(argv) == 2, flag
+        assert capsys.readouterr().err.startswith("error:"), flag
+
+
 def test_oracle_all_rf(workdir, capsys):
     code = main(
         ["oracle", "--model", "wra", "--input", str(workdir / "fig2.trace"), "--all-rf"]

@@ -19,6 +19,7 @@ from racheck import (
     cnf_to_threewriter,
     cnf_to_twowriter,
     cnf_to_twowriter_relaxed,
+    graph_to_onewriter,
     oracle_consistent,
     random_graph,
     solve,
@@ -37,6 +38,7 @@ from reference_oracle import (
     enumerate_mos,
     enumerate_rfs,
     permutation_first_mo,
+    read_candidates,
     unmatched_read,
 )
 
@@ -149,12 +151,16 @@ def test_all_consistent_rfs_cyclic_fixture_empty():
 
 
 # t2 is listed first; each thread has a read that no write matches
-UNMATCHED_READS = build_graph(
-    [
-        ("t2", [("w", "x", 1), ("r", "y", 7)]),
-        ("t1", [("r", "x", 5), ("w", "y", 1)]),
-    ]
-)
+def _unmatched_reads():
+    return build_graph(
+        [
+            ("t2", [("w", "x", 1), ("r", "y", 7)]),
+            ("t1", [("r", "x", 5), ("w", "y", 1)]),
+        ]
+    )
+
+
+UNMATCHED_READS = _unmatched_reads()
 
 
 def test_rf_totality_names_first_unmatched_read_in_id_order():
@@ -167,25 +173,72 @@ def test_rf_totality_names_first_unmatched_read_in_id_order():
 
 
 def test_max_events_is_checked_first():
-    # before the rf-totality answer, and before any candidate is computed
+    # before the rf-totality answer, and before the numbering (which holds
+    # the candidate table) is built
     limits = OracleLimits(max_events=UNMATCHED_READS.num_events - 1)
     for entry in (oracle_consistent, all_consistent_rfs):
-        with mock.patch.object(oracle, "_read_candidates") as candidates:
-            with pytest.raises(BudgetExceeded) as exc:
-                entry(UNMATCHED_READS, MemoryModel.WRA, limits)
+        g = _unmatched_reads()
+        with pytest.raises(BudgetExceeded) as exc:
+            entry(g, MemoryModel.WRA, limits)
         assert exc.value.limit == "max_events", entry.__name__
-        assert candidates.call_count == 0, entry.__name__
+        assert "numbering" not in g.__dict__, entry.__name__
 
 
 def test_candidates_computed_once_per_call():
+    # Both entry points read the one candidate table the graph caches:
+    # every read's candidate list is the table's own list object.
     g = fx.single_writer_consistent()
     assert unmatched_read(g) is None
+    assert "numbering" not in g.__dict__
+    tables = []
     for entry in (oracle_consistent, all_consistent_rfs):
-        with mock.patch.object(
-            oracle, "_read_candidates", wraps=oracle._read_candidates
-        ) as candidates:
-            entry(g, MemoryModel.WRA)
-        assert candidates.call_count == 1, entry.__name__
+        entry(g, MemoryModel.WRA)
+        tables.append(g.numbering.__dict__["matches"])
+        order = _Search(g, MemoryModel.WRA, oracle.DEFAULT_LIMITS).order
+        assert all(
+            any(writes is own for own in tables[-1].values()) for _, writes in order
+        ), entry.__name__
+    assert tables[0] is tables[1]
+
+
+def _candidate_graphs():
+    for seed in range(40):
+        yield random_graph(
+            FuzzParams(
+                seed=seed + 9000,
+                num_threads=3,
+                num_locations=1 + seed % 3,
+                num_events=2 + seed % 11,
+                writer_bound=None,
+            )
+        )
+    for phi in (fx.two_clause_formula(), fx.unsat_formula()):
+        yield cnf_to_threewriter(phi)
+        yield cnf_to_twowriter(phi)
+        yield cnf_to_twowriter_relaxed(phi)
+    for graph in (fx.triangle_graph(), fx.square_graph()):
+        yield graph_to_onewriter(graph)[0]
+    yield UNMATCHED_READS
+
+
+def test_candidate_table_matches_brute_force():
+    for g in _candidate_graphs():
+        num = g.numbering
+        expected = read_candidates(g)
+        assert [num.ids[r] for r in num.reads] == [r.id for r, _ in expected]
+        for r, writes in expected:
+            table = num.matches.get((r.var, r.val), [])
+            assert [num.ids[w] for w in table] == writes, r
+        # every list holds writes of its own (location, value), ascending
+        for (var, val), writes in num.matches.items():
+            assert writes == sorted(writes)
+            assert all((num.events[w].var, num.events[w].val) == (var, val) for w in writes)
+            assert all(num.events[w].is_write for w in writes)
+        ranked = sorted(expected, key=lambda rc: (len(rc[1]), rc[0].id))
+        order = _Search(g, MemoryModel.WRA, OracleLimits(max_events=10**6)).order
+        assert [(num.ids[r], [num.ids[w] for w in writes]) for r, writes in order] == [
+            (r.id, writes) for r, writes in ranked
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,12 @@ def test_parse_dimacs_header_mismatch():
         parse_dimacs("p cnf 3 2\n1 2 3 0\n")
 
 
+@pytest.mark.parametrize("header", ["p cnf -1 0", "p cnf 3 -1"])
+def test_parse_dimacs_rejects_negative_counts(header):
+    with pytest.raises(ParseError):
+        parse_dimacs(header + "\n")
+
+
 def test_parse_dimacs_comments_and_multiline_clauses():
     phi = parse_dimacs("c comment\np cnf 3 1\n1 2\n3 0\n")
     assert phi == CnfFormula(3, (((1, True), (2, True), (3, True)),))
