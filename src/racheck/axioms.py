@@ -108,11 +108,21 @@ def _adjacency(g: PartialExecutionGraph, rf: ReadsFrom) -> list[list[int]]:
     for start, end in num.spans:
         for i in range(start + 1, end):
             succ[i - 1].append(i)
-    pos, mapping = num.index, rf.mapping
-    for r in g.reads:
-        if r.id in mapping:
-            succ[pos[mapping[r.id]]].append(pos[r.id])
+    pos = num.index
+    for r, w in _rf_edges(g, rf):
+        succ[pos[w]].append(pos[r.id])
     return succ
+
+
+def _rf_edges(g: PartialExecutionGraph, rf: ReadsFrom):
+    """(read, write id) for every read that rf maps, in sorted-id order.
+    A read that rf leaves out has no rf edge: it adds no hb edge and no
+    observed-order triplet, and the coherence checks skip it."""
+    mapping = rf.mapping
+    for r in g.reads:
+        w = mapping.get(r.id)
+        if w is not None:
+            yield r, w
 
 
 class _HbIndex:
@@ -361,9 +371,9 @@ class _ObservedOrder:
         # A write outside the past never gains an edge, so it is left out.
         triplets: list[tuple[int, int, int]] = []
         for r in g.events_of[anchor.thread][: anchor.index + 1]:
-            if not r.is_read:
+            wid = rf.mapping.get(r.id)
+            if wid is None:  # a write, or a read that rf leaves out
                 continue
-            wid = rf.mapping[r.id]
             w, ri = pos[wid], pos[r.id]
             for other in g.writes_by_var.get(r.var, ()):
                 o = pos[other.id]
@@ -450,10 +460,10 @@ def compute_ob(
 
 def _thread_orders(g: PartialExecutionGraph, rf: ReadsFrom, hb: _HbIndex):
     """The observed order of every non-empty thread, in sorted thread order."""
-    for tid in sorted(g.thread_ids):
-        evs = g.events_of[tid]
-        if evs:
-            yield _ObservedOrder(hb, g, rf, evs[-1].id)
+    events = g.numbering.events
+    for start, end in g.numbering.spans:
+        if start < end:
+            yield _ObservedOrder(hb, g, rf, events[end - 1].id)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +481,21 @@ def _suffix_masks(hb: _HbIndex, order: list[EventId]) -> list[int]:
     return later
 
 
+def _check_mo(
+    g: PartialExecutionGraph, mo: ModificationOrder | None, needed_by: str | None
+) -> None:
+    """Validate a given mo; when `needed_by` (an axiom or a model) reads
+    mo, require one that covers every written location."""
+    if mo is not None:
+        mo.validate(g)
+    if needed_by is None:
+        return
+    if mo is None:
+        raise MissingMo(f"{needed_by} needs a modification order")
+    if not mo.covers(g):
+        raise MissingMo("modification order does not cover every written location")
+
+
 def check_axiom(
     g: PartialExecutionGraph,
     rf: ReadsFrom,
@@ -480,13 +505,12 @@ def check_axiom(
     """None when the axiom holds, else the first violating cycle found.
 
     Scan order is deterministic: locations sorted, reads and events in
-    (thread id, index) order.
+    (thread id, index) order.  rf may be partial: a read it leaves out has
+    no rf edge and is not checked.  A given mo must be valid (ModelError),
+    and an axiom that reads mo needs one that covers every written
+    location (MissingMo).
     """
-    if ax in MO_AXIOMS:
-        if mo is None:
-            raise MissingMo(f"axiom {ax.value} needs a modification order")
-        if not mo.covers(g):
-            raise MissingMo("modification order does not cover every written location")
+    _check_mo(g, mo, f"axiom {ax.value}" if ax in MO_AXIOMS else None)
     return _check_axiom(g, rf, mo, ax, _hb_index(g, rf) if ax in HB_AXIOMS else None)
 
 
@@ -509,12 +533,11 @@ def _check_axiom(
 
     if ax is Axiom.READ_COHERENCE:
         scans: dict[str, tuple[list[EventId], dict[EventId, int], list[int]]] = {}
-        for r in g.reads:
+        for r, w1 in _rf_edges(g, rf):
             if r.var not in scans:
                 order = mo.order(r.var)
                 scans[r.var] = order, mo.position(r.var), _suffix_masks(hb, order)
             order, position, later = scans[r.var]
-            w1 = rf.mapping[r.id]
             pos = position[w1]
             hit = hb.back[hb.pos[r.id]] & later[pos]
             if hit:
@@ -534,8 +557,7 @@ def _check_axiom(
 
     if ax is Axiom.WEAK_READ_COHERENCE:
         writes = g.numbering.write_mask
-        for r in g.reads:
-            w1 = rf.mapping[r.id]
+        for r, w1 in _rf_edges(g, rf):
             # writes of the location hb-before the read and hb-after its write
             hit = hb.back[hb.pos[r.id]] & writes[r.var] & hb.reach[hb.pos[w1]]
             if hit:
@@ -573,11 +595,14 @@ def _check_axiom(
         # scanned in sorted-id order, so the first one found is the first
         # of `g.reads`.
         positions = {var: mo.position(var) for var in mo.per_var}
-        for tid in sorted(g.thread_ids):
+        num = g.numbering
+        for start, end in num.spans:
             exposed: dict[str, int] = {}  # location -> mask of exposed positions
             via: dict[EventId, EventId | None] = {}  # exposed write -> first read of it
-            for ev in g.events_of[tid]:
-                w = rf.mapping[ev.id] if ev.is_read else ev.id
+            for ev in num.events[start:end]:
+                w = rf.mapping.get(ev.id) if ev.is_read else ev.id
+                if w is None:  # a read that rf leaves out exposes nothing
+                    continue
                 pos = positions[ev.var][w]
                 seen = exposed.get(ev.var, 0)
                 if ev.is_read:
@@ -618,12 +643,7 @@ def verify(
     under it; the verdict is still the first violation.
     """
     rf.validate(g)
-    if model_needs_mo(m):
-        if mo is None:
-            raise MissingMo(f"model {m.value} needs a modification order")
-        mo.validate(g)
-        if not mo.covers(g):
-            raise MissingMo("modification order does not cover every written location")
+    _check_mo(g, mo, f"model {m.value}" if model_needs_mo(m) else None)
     verdict = None
     # hb models check porf first: without a report a cyclic rf stops there
     hb = _hb_index(g, rf, report is None) if HB_AXIOMS.intersection(axioms_for(m)) else None
@@ -653,6 +673,7 @@ def replay_certificate(
 
     Certificates are cyclic: the last event's edge leads back to the first.
     Single-event certificates (a blocking read) have no edges to check.
+    rf may be partial: a read it leaves out has no rf edge.
     """
     if len(cert) <= 1:
         return all(g.has_event(e) for e, _ in cert)

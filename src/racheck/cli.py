@@ -17,7 +17,9 @@ from pathlib import Path
 
 from .axioms import MissingMo, verify
 from .harness import FuzzParams, InvalidParams, differential_run
-from .model import InvalidRf, MemoryModel, ModelError, ReadsFrom, Verdict, max_writers
+from .model import (
+    InvalidRf, MemoryModel, ModelError, ModificationOrder, ReadsFrom, Verdict, max_writers
+)
 from .oracle import DEFAULT_LIMITS, BudgetExceeded, all_consistent_rfs, oracle_consistent
 from .reductions import (
     NotThreeCnf,
@@ -111,8 +113,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("input carries no rf annotations", file=sys.stderr)
             return EXIT_USAGE
         rf = ReadsFrom({})  # a graph without reads has the empty rf
+    mo = doc.mo
+    if mo is None and not doc.graph.writes_by_var:
+        mo = ModificationOrder({})  # and one without writes the empty mo
     report: dict = {}
-    verdict = verify(doc.graph, rf, doc.mo, model, report)
+    verdict = verify(doc.graph, rf, mo, model, report)
     for ax, cert in report.items():
         print(f"{ax.value}: {'FAIL' if cert else 'pass'}")
     _print_verdict(verdict)
@@ -180,6 +185,17 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_CONSISTENT if not report.failures else EXIT_INCONSISTENT
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call:
@@ -207,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MODEL_CHOICES)
     p.add_argument("--input", required=True)
     p.add_argument("--all-rf", action="store_true", dest="all_rf")
-    p.add_argument("--max-events", type=int, dest="max_events")
+    p.add_argument("--max-events", type=_count, dest="max_events")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("reduce", help="generate hardness gadgets")

@@ -96,29 +96,22 @@ class PartialExecutionGraph:
     """Per-thread event sequences; po is derived from listing order.
 
     po(e1, e2) holds iff both events share a thread and e1 appears first.
-    It is never materialized: queries compare indices.
+    It is never materialized: queries compare indices.  The graph builds
+    its `numbering` when it is constructed and reads its sorted-id views
+    (`reads`, `writes_by_var`, event lookup) off it.
     """
 
     def __init__(self, threads: list[tuple[str, list[Event]]]):
         self.thread_ids: list[str] = [tid for tid, _ in threads]
         self.events_of: dict[str, list[Event]] = {tid: evs for tid, evs in threads}
-        self._by_id: dict[EventId, Event] = {}
-        for _, evs in threads:
-            for ev in evs:
-                self._by_id[ev.id] = ev
-        self.num_events: int = len(self._by_id)
+        self.numbering = num = Numbering(self)
+        events = num.events
+        self.num_events: int = len(events)
         # Writes per location in (thread, index) order; reads in scan order.
-        self.writes_by_var: dict[str, list[Event]] = {}
-        for ev in sorted(self._by_id.values(), key=lambda e: e.id):
-            if ev.is_write:
-                self.writes_by_var.setdefault(ev.var, []).append(ev)
-        self.reads: list[Event] = sorted(
-            (e for e in self._by_id.values() if e.is_read), key=lambda e: e.id
-        )
-
-    @cached_property
-    def numbering(self) -> "Numbering":
-        return Numbering(self)
+        self.writes_by_var: dict[str, list[Event]] = {
+            var: [events[w] for w in writes] for var, writes in num.var_writes.items()
+        }
+        self.reads: list[Event] = [events[r] for r in num.reads]
 
     def events(self) -> Iterable[Event]:
         for tid in self.thread_ids:
@@ -126,15 +119,12 @@ class PartialExecutionGraph:
 
     def event(self, eid: EventId) -> Event:
         try:
-            return self._by_id[eid]
+            return self.numbering.events[self.numbering.index[eid]]
         except KeyError:
             raise UnknownEvent(f"no event {eid}") from None
 
     def has_event(self, eid: EventId) -> bool:
-        return eid in self._by_id
-
-    def thread_len(self, tid: str) -> int:
-        return len(self.events_of[tid])
+        return eid in self.numbering.index
 
     def po(self, a: EventId, b: EventId) -> bool:
         """Strict program order: same thread and a before b."""
@@ -155,12 +145,14 @@ class Numbering:
     Events are numbered in sorted EventId order, so threads come in sorted
     thread-id order and each thread is one contiguous ascending span of
     numbers: `spans[t]` is thread t's (start, end), and event i's
-    po-successor is i + 1 while i + 1 < end.  `var_writes` lists each
-    location's writes in ascending order and `write_mask` has their bits
-    set.  Built on first use: `ids[i]` is `events[i].id`, `reads` the read
-    numbers ascending, and `matches[(var, val)]` the writes, ascending, that
-    a read of `var` with value `val` may take.  Shared through the graph's
-    cache, so never mutated.
+    po-successor is i + 1 while i + 1 < end.  This is the one statement of
+    that order.  `reads` lists the read numbers ascending, `var_writes`
+    each location's writes ascending, and `write_mask` has their bits set.
+    Built with the graph, in one pass over its events; only `ids`
+    (`ids[i]` is `events[i].id`) and `matches` are built on first use,
+    `matches[(var, val)]` being the writes, ascending, that a read of
+    `var` with value `val` may take.  Shared by every engine, so never
+    mutated.
     """
 
     def __init__(self, g: PartialExecutionGraph):
@@ -168,16 +160,20 @@ class Numbering:
         self.index: dict[EventId, int] = {}
         self.thread_of: list[int] = []
         self.spans: list[tuple[int, int]] = []
+        self.reads: list[int] = []
+        self.var_writes: dict[str, list[int]] = {}
+        index, reads, var_writes = self.index, self.reads, self.var_writes
         for t, tid in enumerate(sorted(g.thread_ids)):
-            start = len(self.events)
-            for ev in g.events_of[tid]:
-                self.index[ev.id] = len(self.events)
-                self.events.append(ev)
-                self.thread_of.append(t)
+            evs, start = g.events_of[tid], len(self.events)
+            for i, ev in enumerate(evs, start):
+                index[ev.id] = i
+                if ev.op == WRITE:
+                    var_writes.setdefault(ev.var, []).append(i)
+                else:
+                    reads.append(i)
+            self.events += evs
+            self.thread_of += [t] * len(evs)
             self.spans.append((start, len(self.events)))
-        self.var_writes: dict[str, list[int]] = {
-            var: [self.index[w.id] for w in writes] for var, writes in g.writes_by_var.items()
-        }
         self.write_mask: dict[str, int] = {
             var: sum(1 << w for w in writes) for var, writes in self.var_writes.items()
         }
@@ -185,10 +181,6 @@ class Numbering:
     @cached_property
     def ids(self) -> list[EventId]:
         return [ev.id for ev in self.events]
-
-    @cached_property
-    def reads(self) -> list[int]:
-        return [i for i, ev in enumerate(self.events) if ev.is_read]
 
     @cached_property
     def matches(self) -> dict[tuple[str, int], list[int]]:

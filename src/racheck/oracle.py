@@ -135,10 +135,10 @@ class _Encoding:
 
 class _Search:
     """The rf search of one graph under one model, set up for both entry
-    points.  `max_events` is checked before anything is built.  `blocked`
-    is the first read in id order with no value-matching write, or None;
-    the entry points answer a graph with such a read without running the
-    search.
+    points.  `max_events` is checked before the search builds anything,
+    the numbering's candidate table included.  `blocked` is the first read
+    in id order with no value-matching write, or None; the entry points
+    answer a graph with such a read without running the search.
     """
 
     def __init__(self, g: PartialExecutionGraph, m: MemoryModel, limits: OracleLimits):

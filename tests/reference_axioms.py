@@ -12,7 +12,8 @@ search on the shared numbering.  The relaxed coherence checks scan the
 whole mo suffix of every write and read, where the library makes one
 pass over each location's writes or each thread's events.  The
 differential tests hold the library to these results, certificates
-included.
+included.  A read that rf leaves out has no rf edge: it seeds no
+triplet and no coherence check.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def compute_ob(g, rf, anchor):
         in_prefix = rid == anchor_id or (
             rid.thread == anchor_id.thread and rid.index < anchor_id.index
         )
-        if not in_prefix:
+        if not in_prefix or rid not in rf.mapping:
             continue
         wid = rf.mapping[rid]
         for other in g.writes_by_var.get(r.var, []):
@@ -253,6 +254,8 @@ def check_axiom(g, rf, mo, ax):
     if ax is Axiom.READ_COHERENCE:
         pred = _predecessors(g, rf)
         for r in g.reads:
+            if r.id not in rf.mapping:
+                continue
             w1 = rf.mapping[r.id]
             order = mo.order(r.var)
             pos = order.index(w1)
@@ -268,6 +271,8 @@ def check_axiom(g, rf, mo, ax):
         adj = _successors(g, rf)
         pred = _predecessors(g, rf)
         for r in g.reads:
+            if r.id not in rf.mapping:
+                continue
             w1 = rf.mapping[r.id]
             back = _reach_back(pred, r.id)
             candidates = [w.id for w in g.writes_by_var[r.var] if w.id in back]
@@ -293,6 +298,8 @@ def check_axiom(g, rf, mo, ax):
         for rid, wid in rf.mapping.items():
             readers.setdefault(wid, []).append(rid)
         for r in g.reads:
+            if r.id not in rf.mapping:
+                continue
             w1 = rf.mapping[r.id]
             order = mo.order(r.var)
             pos = order.index(w1)

@@ -13,6 +13,7 @@ from racheck import (
     InvalidRf,
     MemoryModel,
     MissingMo,
+    ModelError,
     ModificationOrder,
     ReadsFrom,
     UnknownEvent,
@@ -182,6 +183,66 @@ def test_mo_axioms_require_mo():
     g, rf, _ = fx.mo_against_hb()
     with pytest.raises(MissingMo):
         check_axiom(g, rf, None, Axiom.WRITE_COHERENCE)
+
+
+def test_given_mo_is_validated_by_every_check():
+    g = build_graph([("t1", [("w", "x", 1), ("w", "x", 2)]), ("t2", [("r", "x", 2)])])
+    rf = ReadsFrom({E("t2", 0): E("t1", 1)})
+    short = ModificationOrder({"x": [E("t1", 0)]})  # leaves out t1:1
+    for ax in Axiom:
+        with pytest.raises(ModelError):
+            check_axiom(g, rf, short, ax)
+    for m in MemoryModel:
+        with pytest.raises(ModelError):
+            verify(g, rf, short, m)
+
+
+# ---------------------------------------------------------------------------
+# Partial rf: a read that rf leaves out has no rf edge and is not checked
+# ---------------------------------------------------------------------------
+
+READ_AXIOMS = (
+    Axiom.WEAK_READ_COHERENCE,
+    Axiom.READ_COHERENCE,
+    Axiom.RELAXED_READ_COHERENCE,
+    Axiom.OB_ACYCLICITY,
+)
+
+
+def test_reads_that_rf_leaves_out_are_not_checked():
+    # t1 reads x 1 after writing x 2, which breaks every read check and
+    # the observed order; t2's read of x 2 breaks nothing
+    g = build_graph(
+        [("t1", [("w", "x", 1), ("w", "x", 2), ("r", "x", 1)]), ("t2", [("r", "x", 2)])]
+    )
+    stale, fresh = (E("t1", 2), E("t1", 0)), (E("t2", 0), E("t1", 1))
+    rf = ReadsFrom(dict([stale, fresh]))
+    mo = ModificationOrder({"x": [E("t1", 0), E("t1", 1)]})
+    partial = [ReadsFrom(dict([stale])), ReadsFrom(dict([fresh])), ReadsFrom({})]
+    for ax in READ_AXIOMS:
+        cert = check_axiom(g, rf, mo, ax)
+        assert cert is not None, ax
+        assert check_axiom(g, partial[0], mo, ax) == cert, ax
+        assert replay_certificate(g, cert, partial[0], mo), ax
+        assert check_axiom(g, partial[1], mo, ax) is None, ax
+        assert check_axiom(g, partial[2], mo, ax) is None, ax
+    # the ob steps replay on the rf's observed orders, which no longer close
+    ob_cert = check_axiom(g, rf, None, Axiom.OB_ACYCLICITY)
+    for part in partial[1:]:
+        assert not replay_certificate(g, ob_cert, part)
+    for part in partial:
+        for ax in Axiom:
+            check_axiom(g, part, mo, ax)
+        with pytest.raises(InvalidRf):
+            verify(g, part, mo, MemoryModel.SRA)
+
+
+def test_compute_ob_on_partial_rf():
+    g = build_graph([("t1", [("w", "x", 1), ("r", "x", 1)]), ("t2", [("r", "x", 1)])])
+    rf = ReadsFrom({E("t1", 1): E("t1", 0)})
+    assert compute_ob(g, rf, "t2").pairs == frozenset()
+    assert compute_ob(g, rf, "t1").pairs == {(E("t1", 0), E("t1", 1))}
+    assert compute_ob(g, ReadsFrom({}), E("t1", 1)).pairs == {(E("t1", 0), E("t1", 1))}
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +555,19 @@ def test_hb_checks_match_set_reference(case):
     # thread anchors and every mid-thread anchor
     for anchor in sorted(g.thread_ids) + ids:
         assert compute_ob(g, rf, anchor) == ref.compute_ob(g, rf, anchor), anchor
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(multiwriter_cases(), st.randoms(use_true_random=False))
+def test_partial_rf_checks_match_set_reference(case, rng):
+    g, rf, mo = case
+    part = ReadsFrom({r: w for r, w in rf.items() if rng.random() < 0.5})
+    for ax in ref.REFERENCE_AXIOMS:
+        cert = check_axiom(g, part, mo, ax)
+        assert cert == ref.check_axiom(g, part, mo, ax), ax
+        assert cert is None or replay_certificate(g, cert, part, mo), ax
+    for anchor in sorted(g.thread_ids) + sorted(ev.id for ev in g.events()):
+        assert compute_ob(g, part, anchor) == ref.compute_ob(g, part, anchor), anchor
 
 
 def test_multiwriter_cases_reach_cycles():

@@ -288,3 +288,26 @@ def test_check_and_oracle_agree_on_fixtures(workdir, capsys):
             b = main(["oracle", "--model", model, "--input", str(workdir / name)])
             assert a == b
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("model", ["sra", "ra", "rlx", "rlx-acyclic"])
+@pytest.mark.parametrize("text", ["thread t1\n", ""])
+def test_write_free_witness_round_trip(tmp_path, capsys, model, text):
+    # a graph without writes has the empty mo, so its witness has no mo line
+    trace, witness = tmp_path / "in.trace", tmp_path / "witness.trace"
+    trace.write_text(text)
+    assert main(["check", "--model", model, "--input", str(trace), "--witness", str(witness)]) == 0
+    assert witness.read_text() == text
+    capsys.readouterr()
+    assert main(["verify", "--model", model, "--input", str(witness)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "CONSISTENT"
+
+
+def test_max_events_must_not_be_negative(workdir, capsys):
+    fig2 = ["oracle", "--model", "wra", "--input", str(workdir / "fig2.trace")]
+    assert main(fig2 + ["--max-events", "-1"]) == 2
+    assert "argument --max-events: -1 is negative" in capsys.readouterr().err
+    assert main(fig2 + ["--max-events", "x"]) == 2
+    assert "argument --max-events: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(fig2 + ["--max-events", "0"]) == 3
+    assert "max_events" in capsys.readouterr().err

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racheck import (
     DuplicateThreadId,
@@ -10,12 +12,15 @@ from racheck import (
     IncomparableWrites,
     ModelError,
     ReadsFrom,
+    UnknownEvent,
     build_graph,
     max_writers,
+    random_graph,
     rf_leq,
     rf_min,
     writer_profile,
 )
+from racheck.harness import FuzzParams
 from racheck.model import normalize_cycle
 
 import fixtures as fx
@@ -186,3 +191,59 @@ def test_normalize_cycle_rotation():
     cycle = [(E("t2", 0), "po"), (E("t1", 0), "rf"), (E("t1", 1), "po")]
     assert normalize_cycle(cycle)[0][0] == E("t1", 0)
     assert normalize_cycle([]) == []
+
+
+# ---------------------------------------------------------------------------
+# Sorted-id views, read off the numbering
+# ---------------------------------------------------------------------------
+
+# String order differs from listing order and from numeric order.
+THREAD_NAMES = ["t2", "t1", "t10", "t9", "b", "A"]
+OP = st.tuples(st.sampled_from("rw"), st.sampled_from("xy"), st.integers(0, 2))
+
+
+@st.composite
+def listed_graphs(draw):
+    """Graphs whose threads are listed in any order, names from THREAD_NAMES."""
+    names = draw(st.permutations(THREAD_NAMES))[: draw(st.integers(0, len(THREAD_NAMES)))]
+    return build_graph([(tid, draw(st.lists(OP, max_size=4))) for tid in names])
+
+
+random_graphs = st.builds(
+    lambda seed, threads, events, bound: random_graph(
+        FuzzParams(seed, threads, 2, events, writer_bound=bound)
+    ),
+    st.integers(0, 10**6),
+    st.integers(1, 12),
+    st.integers(0, 30),
+    st.sampled_from([1, 2, None]),
+)
+
+
+# t2 listed before t1; t10 after t9, which it precedes in string order
+OUT_OF_ORDER = [
+    build_graph([("t2", [("w", "x", 1), ("r", "y", 1)]), ("t1", [("r", "x", 1), ("w", "y", 0)])]),
+    build_graph([("t9", [("w", "x", 1), ("r", "x", 2)]), ("t10", [("w", "x", 2), ("w", "y", 1)])]),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(OUT_OF_ORDER), listed_graphs(), random_graphs))
+def test_sorted_id_views_match_a_sort_by_id(g):
+    # each view is what a sort of every thread's events by id gives
+    by_id = sorted((ev for evs in g.events_of.values() for ev in evs), key=lambda e: e.id)
+    writes_by_var = {}
+    for ev in by_id:
+        if ev.is_write:
+            writes_by_var.setdefault(ev.var, []).append(ev)
+    assert list(g.writes_by_var.items()) == list(writes_by_var.items())
+    assert g.reads == [ev for ev in by_id if ev.is_read]
+    assert g.num_events == len(by_id)
+    for ev in by_id:
+        assert g.has_event(ev.id) and g.event(ev.id) == ev
+    unknown = [E("zz", 0), E("t1", -1)]
+    unknown += [E(tid, len(evs)) for tid, evs in g.events_of.items()]
+    for eid in unknown:
+        assert not g.has_event(eid)
+        with pytest.raises(UnknownEvent):
+            g.event(eid)

@@ -173,23 +173,22 @@ def test_rf_totality_names_first_unmatched_read_in_id_order():
 
 
 def test_max_events_is_checked_first():
-    # before the rf-totality answer, and before the numbering (which holds
-    # the candidate table) is built
+    # before the rf-totality answer, and before the candidate table is built
     limits = OracleLimits(max_events=UNMATCHED_READS.num_events - 1)
     for entry in (oracle_consistent, all_consistent_rfs):
         g = _unmatched_reads()
         with pytest.raises(BudgetExceeded) as exc:
             entry(g, MemoryModel.WRA, limits)
         assert exc.value.limit == "max_events", entry.__name__
-        assert "numbering" not in g.__dict__, entry.__name__
+        assert "matches" not in g.numbering.__dict__, entry.__name__
 
 
 def test_candidates_computed_once_per_call():
-    # Both entry points read the one candidate table the graph caches:
+    # Both entry points read the one candidate table the numbering caches:
     # every read's candidate list is the table's own list object.
     g = fx.single_writer_consistent()
     assert unmatched_read(g) is None
-    assert "numbering" not in g.__dict__
+    assert "matches" not in g.numbering.__dict__
     tables = []
     for entry in (oracle_consistent, all_consistent_rfs):
         entry(g, MemoryModel.WRA)
