@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="differential solver-vs-oracle sweep")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--events", type=int, default=10)
+    p.add_argument("--cases", type=_count, default=100)
+    p.add_argument("--events", type=_count, default=10)
     p.add_argument("--threads", type=int, default=3)
     p.add_argument("--locations", type=int, default=3)
     p.add_argument("--writers", choices=["1", "2", "3", "any"], default="1")

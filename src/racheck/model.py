@@ -80,9 +80,18 @@ class Event(NamedTuple):
         return f"{self.id} {self.op}({self.var},{self.val})"
 
 
-def _check_identifier(kind: str, name: str) -> None:
-    if not isinstance(name, str) or not _IDENT_RE.match(name):
-        raise ModelError(f"{kind} {name!r} is not a valid identifier")
+def _check_identifier(kind: str, name: str, valid: set[str]) -> str | None:
+    """The identifier check: the error message for an invalid thread id or
+    location name, None for a valid one.  `valid` holds the names one build
+    has passed so far, so each distinct name is matched once per build;
+    the parser tests `name in valid` itself before calling."""
+    if isinstance(name, str):
+        if name in valid:
+            return None
+        if _IDENT_RE.match(name):
+            valid.add(name)
+            return None
+    return f"{kind} {name!r} is not a valid identifier"
 
 
 def _check_value(val: int) -> None:
@@ -198,9 +207,11 @@ def build_graph(threads: list[tuple[str, list[tuple[str, str, int]]]]) -> Partia
     empty graph; duplicate thread ids are rejected.
     """
     seen: set[str] = set()
+    valid: set[str] = set()
     built: list[tuple[str, list[Event]]] = []
     for tid, ops in threads:
-        _check_identifier("thread id", tid)
+        if error := _check_identifier("thread id", tid, valid):
+            raise ModelError(error)
         if tid in seen:
             raise DuplicateThreadId(f"thread id {tid!r} appears twice")
         seen.add(tid)
@@ -208,7 +219,8 @@ def build_graph(threads: list[tuple[str, list[tuple[str, str, int]]]]) -> Partia
         for idx, (op, var, val) in enumerate(ops):
             if op not in (READ, WRITE):
                 raise ModelError(f"op {op!r} is not {READ!r} or {WRITE!r}")
-            _check_identifier("location", var)
+            if error := _check_identifier("location", var, valid):
+                raise ModelError(error)
             _check_value(val)
             evs.append(Event(EventId(tid, idx), op, var, val))
         built.append((tid, evs))
@@ -227,8 +239,12 @@ def writer_profile(g: PartialExecutionGraph) -> dict[str, set[str]]:
 
 
 def max_writers(g: PartialExecutionGraph) -> int:
-    profile = writer_profile(g)
-    return max((len(s) for s in profile.values()), default=0)
+    """The largest number of threads that write one location."""
+    thread_of = g.numbering.thread_of
+    return max(
+        (len({thread_of[w] for w in writes}) for writes in g.numbering.var_writes.values()),
+        default=0,
+    )
 
 
 @dataclass(frozen=True)
@@ -250,10 +266,12 @@ class ReadsFrom:
             missing = expected - set(self.mapping)
             extra = set(self.mapping) - expected
             raise InvalidRf(f"rf domain mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        index, events = g.numbering.index, g.numbering.events
         for rid, wid in self.mapping.items():
-            if not g.has_event(wid):
+            i = index.get(wid)
+            if i is None:
                 raise InvalidRf(f"rf source {wid} does not exist")
-            w, r = g.event(wid), g.event(rid)
+            w, r = events[i], events[index[rid]]
             if not w.is_write:
                 raise InvalidRf(f"rf source {wid} is not a write")
             if w.var != r.var or w.val != r.val:
@@ -289,9 +307,10 @@ class ModificationOrder:
         return {wid: i for i, wid in enumerate(self.per_var[var])}
 
     def validate(self, g: PartialExecutionGraph) -> None:
+        index, var_writes = g.numbering.index, g.numbering.var_writes
         for var, order in self.per_var.items():
-            writes = {w.id for w in g.writes_by_var.get(var, [])}
-            if len(order) != len(set(order)) or set(order) != writes:
+            nums = {index.get(wid, -1) for wid in order}  # -1: no such event
+            if len(nums) != len(order) or nums != set(var_writes.get(var, ())):
                 raise ModelError(
                     f"mo for {var!r} is not a permutation of that location's writes"
                 )

@@ -12,6 +12,17 @@ are skipped::
 rf/mo lines must follow all thread blocks.  Serialization is canonical:
 threads in first-appearance order, rf lines sorted by reader, mo lines
 sorted by location; parse and serialize are mutually inverse.
+
+A malformed trace raises one ParseError (line, reason), the first of:
+  1. line errors, in line order: an unknown directive, a wrong token
+     count, a malformed or out-of-range integer, a malformed event id, a
+     duplicate thread, an event outside a thread or after the annotations;
+  2. the first thread id or location name, in text order, that is not a
+     valid identifier, as line 0;
+  3. rf/mo resolution errors, in line order: an unknown event, an rf edge
+     that is not write -> read of one location and value, a read with two
+     writers, a second mo line for a location, an mo line that is not a
+     permutation of its location's writes.
 """
 
 from __future__ import annotations
@@ -23,11 +34,12 @@ from .model import (
     INT64_MIN,
     READ,
     WRITE,
+    Event,
     EventId,
     ModificationOrder,
     PartialExecutionGraph,
     ReadsFrom,
-    build_graph,
+    _check_identifier,
 )
 from .reductions import CnfFormula, Literal, NotThreeCnf, SelfLoop, UndirectedGraph
 
@@ -51,6 +63,11 @@ class TraceDocument:
         return self.graph == other.graph and self.rf == other.rf and self.mo == other.mo
 
 
+# Event and EventId are NamedTuples; tuple.__new__ builds them without
+# their Python-level constructors, which the scan would call per event.
+_tuple = tuple.__new__
+
+
 def _strip(raw: str) -> str:
     return raw.split("#", 1)[0].strip()
 
@@ -69,24 +86,47 @@ def _parse_event_id(token: str, lineno: int) -> EventId:
     thread, sep, idx = token.rpartition(":")
     if not sep or not thread:
         raise ParseError(lineno, f"malformed event id {token!r}")
-    return EventId(thread, _parse_int(idx, lineno))
+    return _tuple(EventId, (thread, _parse_int(idx, lineno)))
 
 
 def parse_trace(text: str) -> TraceDocument:
-    threads: list[tuple[str, list[tuple[str, str, int]]]] = []
+    """Parse a trace in one scan of its lines, which builds the events.
+
+    Each distinct name, value and rf/mo event-id token is checked once,
+    and each event id resolved through the graph's numbering once.
+    """
+    threads: list[tuple[str, list[Event]]] = []
     seen_threads: set[str] = set()
-    rf_lines: list[tuple[int, EventId, EventId]] = []
-    mo_lines: list[tuple[int, str, list[EventId]]] = []
-    current: list[tuple[str, str, int]] | None = None
+    valid: set[str] = set()  # names that passed the identifier check
+    bad_name: str | None = None  # the message for the first one that failed it
+    values: dict[str, int] = {}  # each distinct value token, parsed
+    ids: dict[str, EventId] = {}  # each distinct rf/mo event-id token, parsed
+    rf_lines: list[tuple[int, str, str]] = []
+    mo_lines: list[tuple[int, str, list[str]]] = []
+    current: list[Event] | None = None
     annotations_started = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         keyword = tokens[0]
-        if keyword == "thread":
+        if keyword == READ or keyword == WRITE:
+            if annotations_started:
+                raise ParseError(lineno, "event after rf/mo annotations")
+            if current is None:
+                raise ParseError(lineno, "event outside a thread block")
+            if len(tokens) != 3:
+                raise ParseError(lineno, f"expected: {keyword} <var> <int>")
+            var = tokens[1]
+            if var not in valid and bad_name is None:
+                bad_name = _check_identifier("location", var, valid)
+            val = values.get(tokens[2])
+            if val is None:
+                val = values[tokens[2]] = _parse_int(tokens[2], lineno)
+            eid = _tuple(EventId, (tid, len(current)))
+            current.append(_tuple(Event, (eid, keyword, var, val)))
+        elif keyword == "thread":
             if annotations_started:
                 raise ParseError(lineno, "thread block after rf/mo annotations")
             if len(tokens) != 2:
@@ -95,51 +135,53 @@ def parse_trace(text: str) -> TraceDocument:
             if tid in seen_threads:
                 raise ParseError(lineno, f"duplicate thread id {tid!r}")
             seen_threads.add(tid)
+            if tid not in valid and bad_name is None:
+                bad_name = _check_identifier("thread id", tid, valid)
             current = []
             threads.append((tid, current))
-        elif keyword in (READ, WRITE):
-            if annotations_started:
-                raise ParseError(lineno, "event after rf/mo annotations")
-            if current is None:
-                raise ParseError(lineno, "event outside a thread block")
-            if len(tokens) != 3:
-                raise ParseError(lineno, f"expected: {keyword} <var> <int>")
-            current.append((keyword, tokens[1], _parse_int(tokens[2], lineno)))
         elif keyword == "rf":
             if len(tokens) != 3:
                 raise ParseError(lineno, "expected: rf <writer> <reader>")
             annotations_started = True
-            rf_lines.append(
-                (lineno, _parse_event_id(tokens[1], lineno), _parse_event_id(tokens[2], lineno))
-            )
+            for token in tokens[1:]:
+                if token not in ids:
+                    ids[token] = _parse_event_id(token, lineno)
+            rf_lines.append((lineno, tokens[1], tokens[2]))
         elif keyword == "mo":
             if len(tokens) < 3:
                 raise ParseError(lineno, "expected: mo <var> <write>+")
             annotations_started = True
-            mo_lines.append(
-                (lineno, tokens[1], [_parse_event_id(t, lineno) for t in tokens[2:]])
-            )
+            for token in tokens[2:]:
+                if token not in ids:
+                    ids[token] = _parse_event_id(token, lineno)
+            mo_lines.append((lineno, tokens[1], tokens[2:]))
         else:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
 
-    try:
-        graph = build_graph(threads)
-    except Exception as exc:  # identifier/value validation
-        raise ParseError(0, str(exc)) from None
+    if bad_name is not None:
+        raise ParseError(0, bad_name)
+    graph = PartialExecutionGraph(threads)
+    num = graph.numbering
+    events = num.events
+    nums = {token: num.index.get(eid) for token, eid in ids.items()}  # None: no such event
 
     rf = None
     if rf_lines:
         mapping: dict[EventId, EventId] = {}
-        for lineno, wid, rid in rf_lines:
-            for eid in (wid, rid):
-                if not graph.has_event(eid):
-                    raise ParseError(lineno, f"unknown event {eid}")
-            w, r = graph.event(wid), graph.event(rid)
-            if not w.is_write:
+        for lineno, wtoken, rtoken in rf_lines:
+            wid, rid = ids[wtoken], ids[rtoken]
+            w, r = nums[wtoken], nums[rtoken]
+            if w is None:
+                raise ParseError(lineno, f"unknown event {wid}")
+            if r is None:
+                raise ParseError(lineno, f"unknown event {rid}")
+            _, wop, wvar, wval = events[w]
+            _, rop, rvar, rval = events[r]
+            if wop != WRITE:
                 raise ParseError(lineno, f"rf source {wid} is not a write")
-            if not r.is_read:
+            if rop != READ:
                 raise ParseError(lineno, f"rf target {rid} is not a read")
-            if w.var != r.var or w.val != r.val:
+            if wvar != rvar or wval != rval:
                 raise ParseError(lineno, f"rf edge {wid} -> {rid} mismatches location or value")
             if rid in mapping:
                 raise ParseError(lineno, f"read {rid} has two writers")
@@ -149,20 +191,22 @@ def parse_trace(text: str) -> TraceDocument:
     mo = None
     if mo_lines:
         per_var: dict[str, list[EventId]] = {}
-        for lineno, var, order in mo_lines:
+        for lineno, var, tokens in mo_lines:
             if var in per_var:
                 raise ParseError(lineno, f"duplicate mo line for {var!r}")
-            writes = {w.id for w in graph.writes_by_var.get(var, [])}
-            for eid in order:
-                if not graph.has_event(eid):
-                    raise ParseError(lineno, f"unknown event {eid}")
-                if eid not in writes:
-                    raise ParseError(lineno, f"{eid} is not a write to {var!r}")
-            if len(set(order)) != len(order):
+            writes = set(num.var_writes.get(var, ()))
+            order = [nums[token] for token in tokens]
+            for token, w in zip(tokens, order):
+                if w is None:
+                    raise ParseError(lineno, f"unknown event {ids[token]}")
+                if w not in writes:
+                    raise ParseError(lineno, f"{ids[token]} is not a write to {var!r}")
+            placed = set(order)
+            if len(placed) != len(order):
                 raise ParseError(lineno, f"mo for {var!r} lists a write twice")
-            if set(order) != writes:
+            if placed != writes:
                 raise ParseError(lineno, f"mo for {var!r} omits a write")
-            per_var[var] = order
+            per_var[var] = [ids[token] for token in tokens]
         mo = ModificationOrder(per_var)
 
     return TraceDocument(graph, rf, mo)
@@ -176,11 +220,13 @@ def serialize_trace(doc: TraceDocument) -> str:
         for ev in g.events_of[tid]:
             lines.append(f"{ev.op} {ev.var} {ev.val}")
     if doc.rf is not None:
-        for rid, wid in sorted(doc.rf.mapping.items()):
-            lines.append(f"rf {wid} {rid}")
+        lines += [
+            f"rf {wthread}:{windex} {rthread}:{rindex}"
+            for (rthread, rindex), (wthread, windex) in sorted(doc.rf.mapping.items())
+        ]
     if doc.mo is not None:
         for var in sorted(doc.mo.per_var):
-            order = " ".join(str(w) for w in doc.mo.per_var[var])
+            order = " ".join([f"{thread}:{index}" for thread, index in doc.mo.per_var[var]])
             lines.append(f"mo {var} {order}")
     if not lines:
         return ""

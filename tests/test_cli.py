@@ -311,3 +311,12 @@ def test_max_events_must_not_be_negative(workdir, capsys):
     assert "argument --max-events: invalid int value: 'x'" in capsys.readouterr().err
     assert main(fig2 + ["--max-events", "0"]) == 3
     assert "max_events" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--cases", "-1"), ("--events", "-5")])
+def test_fuzz_counts_must_not_be_negative(workdir, capsys, flag, value):
+    argv = ["fuzz", flag, value, "--failure-dir", str(workdir / "f")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: {value} is negative" in err
+    assert not (workdir / "f").exists()

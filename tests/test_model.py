@@ -11,6 +11,7 @@ from racheck import (
     EventId,
     IncomparableWrites,
     ModelError,
+    ModificationOrder,
     ReadsFrom,
     UnknownEvent,
     build_graph,
@@ -185,6 +186,37 @@ def test_reads_from_validate_rejects_mismatches():
     bad = ReadsFrom({fx.SWC_R1: fx.SWC_W1})  # value mismatch and missing reads
     with pytest.raises(InvalidRf):
         bad.validate(g)
+
+
+VALIDATED = build_graph(
+    [("t1", [("w", "x", 1), ("r", "x", 1), ("w", "y", 1)]), ("t2", [("r", "x", 1)])]
+)
+NOT_A_PERMUTATION = "mo for 'x' is not a permutation of that location's writes"
+
+
+def _rf(writer_of_t1_1: EventId) -> ReadsFrom:
+    return ReadsFrom({E("t1", 1): writer_of_t1_1, E("t2", 0): E("t1", 0)})
+
+
+@pytest.mark.parametrize(
+    "relation, message",
+    [
+        (ReadsFrom({E("t1", 1): E("t1", 0)}), f"rf domain mismatch: missing={[E('t2', 0)]} extra=[]"),
+        (_rf(E("t9", 0)), "rf source t9:0 does not exist"),
+        (_rf(E("t2", 0)), "rf source t2:0 is not a write"),
+        (_rf(E("t1", 2)), "rf edge t1:2 -> t1:1 mismatches on location or value"),
+        (ModificationOrder({"x": [E("t1", 0), E("t1", 0)]}), NOT_A_PERMUTATION),
+        (ModificationOrder({"x": [E("t9", 0)]}), NOT_A_PERMUTATION),
+        (ModificationOrder({"x": [E("t1", 2)]}), NOT_A_PERMUTATION),
+        (ModificationOrder({"x": []}), NOT_A_PERMUTATION),
+    ],
+)
+def test_validate_messages(relation, message):
+    with pytest.raises(ModelError) as err:
+        relation.validate(VALIDATED)
+    assert str(err.value) == message
+    assert _rf(E("t1", 0)).validate(VALIDATED) is None
+    assert ModificationOrder({"x": [E("t1", 0)], "y": [E("t1", 2)]}).validate(VALIDATED) is None
 
 
 def test_normalize_cycle_rotation():

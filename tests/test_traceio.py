@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from racheck import model
 from racheck import (
     CnfFormula,
     EventId,
@@ -14,11 +17,13 @@ from racheck import (
     cnf_to_threewriter,
     derive_mo,
     graph_to_onewriter,
+    max_writers,
+    oracle_consistent,
     random_graph,
     solve,
 )
 from racheck.harness import FuzzParams
-from racheck.model import MemoryModel
+from racheck.model import MemoryModel, ModelError, ModificationOrder, ReadsFrom
 from racheck.traceio import (
     ParseError,
     TraceDocument,
@@ -31,6 +36,7 @@ from racheck.traceio import (
 )
 
 import fixtures as fx
+import reference_traceio
 
 E = EventId
 
@@ -229,3 +235,232 @@ def test_parse_edgelist_deduplicates():
 def test_edgelist_round_trip():
     graph = fx.square_graph()
     assert parse_edgelist(serialize_edgelist(graph)) == graph
+
+
+# ---------------------------------------------------------------------------
+# Differential: the one-pass parser against the two-pass reference
+# ---------------------------------------------------------------------------
+
+NAMES = ["t1", "t2", "t10", "x", "y", "a.b", "_", "v-1"]
+BAD_NAMES = ["a!", "é", "a:b", "t1,", "$"]
+JUNK = ["zz", "w", "rf", "1", "t1:0", "x!", "99999999999999999999", "-9223372036854775809"]
+BAD_IDS = ["t1", ":0", "t1:", "t1:x", "zz:0", "t1:-1", "t1:99", "t1:00", "a:b:0", "t1:1:"]
+BIG_INTS = ["9223372036854775808", "-9223372036854775809", "1e3", "0x1", "+7", "1_0"]
+
+
+@st.composite
+def documents(draw):
+    """A graph on names from NAMES, a partial rf of value-matching writes and
+    an mo for some of its locations, each drawn at random."""
+    tids = draw(st.lists(st.sampled_from(NAMES), unique=True, min_size=1, max_size=4))
+    locations = draw(st.lists(st.sampled_from(NAMES), unique=True, min_size=1, max_size=3))
+    op = st.tuples(st.sampled_from("rw"), st.sampled_from(locations), st.integers(-1, 2))
+    g = build_graph([(tid, draw(st.lists(op, max_size=6))) for tid in tids])
+    return _annotate(g, draw(st.randoms(use_true_random=False)))
+
+
+def _random_document(rng: random.Random) -> TraceDocument:
+    tids = rng.sample(NAMES, rng.randint(1, 4))
+    locations = rng.sample(NAMES, rng.randint(1, 3))
+    ops = [
+        [(rng.choice("rw"), rng.choice(locations), rng.randint(-1, 2)) for _ in range(n)]
+        for n in (rng.randint(0, 6) for _ in tids)
+    ]
+    return _annotate(build_graph(list(zip(tids, ops))), rng)
+
+
+def _annotate(g, rng: random.Random) -> TraceDocument:
+    mapping = {}
+    for r in g.reads:
+        writes = [w.id for w in g.writes_by_var.get(r.var, []) if w.val == r.val]
+        if writes and rng.random() < 0.8:
+            mapping[r.id] = rng.choice(writes)
+    per_var = {}
+    for var, writes in g.writes_by_var.items():
+        if rng.random() < 0.8:
+            per_var[var] = rng.sample([w.id for w in writes], len(writes))
+    rf = ReadsFrom(mapping) if mapping else None
+    return TraceDocument(g, rf, ModificationOrder(per_var) if per_var else None)
+
+
+def _mutate(lines: list[str], kind: int, rng: random.Random) -> list[str]:
+    """`lines` with one mutation of the given kind, at a random place."""
+    lines = lines[:] or [""]
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    if kind == 0 and len(tokens) > 1:  # swap two tokens
+        a, b = rng.sample(range(len(tokens)), 2)
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+    elif kind == 1 and tokens:  # delete a token
+        del tokens[rng.randrange(len(tokens))]
+    elif kind == 2:  # junk token
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(JUNK))
+    elif kind == 3:  # a comment after the tokens
+        tokens.append(rng.choice(["# note", "#", "#rf t1:0 t2:0"]))
+    elif kind == 4 and len(tokens) > 1:  # a bad identifier
+        tokens[1] = rng.choice(BAD_NAMES)
+    elif kind == 5 and tokens:  # an out-of-range or malformed int
+        tokens[-1] = rng.choice(BIG_INTS)
+    elif kind == 6:  # a bad, swapped, deleted or repeated event id
+        annotated = [
+            k for k, line in enumerate(lines)
+            if line.startswith(("rf ", "mo ")) and len(line.split()) > 2
+        ]
+        if annotated:
+            i = rng.choice(annotated)
+            tokens = lines[i].split()
+            k = rng.randrange(1 + (tokens[0] == "mo"), len(tokens))
+            ids = [t for line in lines for t in line.split() if ":" in t]
+            choice = rng.randrange(4)
+            if choice == 0:
+                tokens[k] = rng.choice(BAD_IDS)
+            elif choice == 1:
+                tokens[k] = rng.choice(ids)
+            elif choice == 2:
+                del tokens[k]
+            else:
+                tokens.insert(k, tokens[k])
+    lines[i] = " ".join(tokens)
+    at = rng.randrange(len(lines) + 1)
+    if kind == 3:  # a comment or blank line
+        lines.insert(at, rng.choice(["# comment", "", "   ", "#"]))
+    elif kind in (7, 8):  # a duplicate thread or mo line
+        copies = [line for line in lines if line.startswith(("thread", "mo")[kind - 7])]
+        if copies:
+            lines.insert(at, rng.choice(copies))
+    elif kind == 9:  # a thread after the annotations
+        lines += [f"thread {rng.choice(NAMES + BAD_NAMES)}", f"w {rng.choice(NAMES)} 1"]
+    elif kind == 10 and len(lines) > 1:  # swap two lines
+        a, b = rng.sample(range(len(lines)), 2)
+        lines[a], lines[b] = lines[b], lines[a]
+    return lines
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text), None
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(documents(), st.lists(st.integers(0, 10), max_size=3), st.randoms(use_true_random=True))
+def test_parse_trace_matches_reference(doc, mutations, rng):
+    lines = reference_traceio.serialize_trace(doc).splitlines()
+    for kind in mutations:
+        lines = _mutate(lines, kind, rng)
+    _check_against_reference("\n".join(lines) + "\n")
+
+
+def _check_against_reference(text: str) -> None:
+    got, got_error = _outcome(parse_trace, text)
+    want, want_error = _outcome(reference_traceio.parse_trace, text)
+    assert got_error == want_error
+    if want is not None:
+        assert got == want
+        assert got.graph.numbering.events == want.graph.numbering.events
+        assert got.graph.numbering.index == want.graph.numbering.index
+        assert serialize_trace(got) == reference_traceio.serialize_trace(want)
+
+
+def test_mutated_traces_parse_as_the_reference():
+    # plain random draws, so that every mutation kind, rf/mo resolution
+    # errors included, is well covered
+    for seed in range(3000):
+        rng = random.Random(seed)
+        lines = reference_traceio.serialize_trace(_random_document(rng)).splitlines()
+        for _ in range(rng.randint(1, 2)):
+            lines = _mutate(lines, rng.choice([*range(11), 6, 6, 6, 8]), rng)
+        _check_against_reference("\n".join(lines) + "\n")
+
+
+def test_parse_error_order():
+    # line errors in line order, then the first bad name as line 0, then
+    # rf/mo resolution errors
+    cases = [
+        ("thread a!\nw x 1\nrf t1:0 t9:0\nbogus\n", (4, "unknown directive 'bogus'")),
+        ("thread a!\nw y! 1\nrf a!:0 t9:0\n", (0, "thread id 'a!' is not a valid identifier")),
+        ("thread t\nw y! 1\nthread b$\n", (0, "location 'y!' is not a valid identifier")),
+        ("thread t\nw x 1\nrf t:0 t9:0\nmo x t:1\n", (3, "unknown event t9:0")),
+    ]
+    for text, error in cases:
+        assert _outcome(parse_trace, text)[1] == error
+        assert _outcome(reference_traceio.parse_trace, text)[1] == error
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(documents())
+def test_serialize_trace_matches_reference(doc):
+    assert serialize_trace(doc) == reference_traceio.serialize_trace(doc)
+
+
+@pytest.mark.parametrize("model", [MemoryModel.SRA, MemoryModel.RELAXED, MemoryModel.CM])
+def test_witnesses_serialize_as_the_reference(model):
+    for seed in range(30):
+        g = random_graph(FuzzParams(seed, num_events=12, writer_bound=[1, 2][seed % 2]))
+        if max_writers(g) <= 1:
+            verdict, _ = solve(g, model)
+        else:
+            verdict = oracle_consistent(g, model)
+        if verdict.is_consistent:
+            doc = TraceDocument(g, verdict.rf, verdict.mo)
+            text = serialize_trace(doc)
+            assert text == reference_traceio.serialize_trace(doc)
+            assert parse_trace(text) == doc
+
+
+THREAD_LISTS = st.lists(
+    st.tuples(
+        st.sampled_from(NAMES + BAD_NAMES + [""]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["r", "w", "x"]),
+                st.sampled_from(NAMES + BAD_NAMES),
+                st.sampled_from([0, 1, -1, 2**63, -(2**63) - 1, True, "1"]),
+            ),
+            max_size=3,
+        ),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(THREAD_LISTS)
+def test_build_graph_matches_reference(threads):
+    try:
+        want = reference_traceio.build_graph(threads)
+    except ModelError as exc:
+        with pytest.raises(type(exc)) as err:
+            build_graph(threads)
+        assert str(err.value) == str(exc)
+        return
+    got = build_graph(threads)
+    assert got == want and got.numbering.events == want.numbering.events
+
+
+def test_each_name_is_checked_once(monkeypatch):
+    names = []
+    pattern = model._IDENT_RE
+
+    class Counting:
+        def match(self, name):
+            names.append(name)
+            return pattern.match(name)
+
+    monkeypatch.setattr(model, "_IDENT_RE", Counting())
+    threads = [
+        (f"t{t}", [("wr"[k % 2], f"x{k % 3}", k % 5) for k in range(50)]) for t in range(4)
+    ]
+    g = build_graph(threads)
+    assert g.num_events == 200
+    assert sorted(names) == ["t0", "t1", "t2", "t3", "x0", "x1", "x2"]
+    first = {}
+    for w in reversed(sorted(w for ws in g.writes_by_var.values() for w in ws)):
+        first[w.var, w.val] = w.id
+    rf = ReadsFrom({r.id: first[r.var, r.val] for r in g.reads if (r.var, r.val) in first})
+    mo = ModificationOrder({var: [w.id for w in ws] for var, ws in g.writes_by_var.items()})
+    text = serialize_trace(TraceDocument(g, rf, mo))
+    names.clear()
+    assert parse_trace(text) == TraceDocument(g, rf, mo)
+    assert sorted(names) == ["t0", "t1", "t2", "t3", "x0", "x1", "x2"]
