@@ -4,6 +4,11 @@ Checks the coherence and causality axioms of the release-acquire family
 (WRA/RA/SRA), the relaxed variants, and the per-thread observed-order
 acyclicity that distinguishes causal memory.  Every failed check yields a
 certificate: labelled edges that replay to the violating cycle.
+
+The checks work on event numbers.  Each public entry point numbers its
+rf and mo once, on the graph's numbering (`number_rf`, `number_mo`),
+and everything below it reads those numbers; EventIds are made only for
+the certificates, `ObRelation` and the witnesses a verdict echoes.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from .model import (
     UnknownEvent,
     Verdict,
     normalize_cycle,
+    number_mo,
+    number_rf,
 )
 
 
@@ -100,7 +107,7 @@ def model_needs_mo(m: MemoryModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(g: PartialExecutionGraph, rf: ReadsFrom) -> list[list[int]]:
+def _adjacency(g: PartialExecutionGraph, src: list[int]) -> list[list[int]]:
     """po (immediate) and rf successors on the graph's numbering: each
     event's po-successor first, then the reads it feeds in ascending order."""
     num = g.numbering
@@ -108,21 +115,10 @@ def _adjacency(g: PartialExecutionGraph, rf: ReadsFrom) -> list[list[int]]:
     for start, end in num.spans:
         for i in range(start + 1, end):
             succ[i - 1].append(i)
-    pos = num.index
-    for r, w in _rf_edges(g, rf):
-        succ[pos[w]].append(pos[r.id])
+    for r in num.reads:
+        if src[r] >= 0:
+            succ[src[r]].append(r)
     return succ
-
-
-def _rf_edges(g: PartialExecutionGraph, rf: ReadsFrom):
-    """(read, write id) for every read that rf maps, in sorted-id order.
-    A read that rf leaves out has no rf edge: it adds no hb edge and no
-    observed-order triplet, and the coherence checks skip it."""
-    mapping = rf.mapping
-    for r in g.reads:
-        w = mapping.get(r.id)
-        if w is not None:
-            yield r, w
 
 
 class _HbIndex:
@@ -137,31 +133,24 @@ class _HbIndex:
     oracle's search wraps the porf-acyclic closure it keeps at a leaf.
     """
 
-    def __init__(self, g: PartialExecutionGraph, reach: list[int], back: list[int], cycle=None):
-        self.ids: list[EventId] = g.numbering.ids
-        self.pos: dict[EventId, int] = g.numbering.index
+    def __init__(self, reach: list[int], back: list[int], cycle=None):
         self.reach = reach
         self.back = back
         self.cycle = cycle
 
-    def first(self, eids: list[EventId], mask: int) -> EventId:
-        """The first of `eids` whose bit is set in `mask`."""
-        pos = self.pos
-        return next(e for e in eids if mask >> pos[e] & 1)
 
-
-def _hb_index(g: PartialExecutionGraph, rf: ReadsFrom, cycle_only: bool = False) -> _HbIndex:
+def _hb_index(g: PartialExecutionGraph, src: list[int], cycle_only: bool = False) -> _HbIndex:
     """rf's hb index: one `_components` run orders both closures and keeps
     its cycle; with `cycle_only` a cyclic rf gets the cycle and no masks."""
-    succ = _adjacency(g, rf)
+    succ = _adjacency(g, src)
     comps, cycle = _components(succ)
     if cycle_only and cycle is not None:
-        return _HbIndex(g, [], [], cycle)
+        return _HbIndex([], [], cycle)
     pred: list[list[int]] = [[] for _ in succ]
     for v, out in enumerate(succ):
         for w in out:
             pred[w].append(v)
-    return _HbIndex(g, _propagate(comps, succ), _propagate(comps[::-1], pred), cycle)
+    return _HbIndex(_propagate(comps, succ), _propagate(comps[::-1], pred), cycle)
 
 
 def _components(succ: list[list[int]]) -> tuple[list[list[int]], list[int] | None]:
@@ -269,34 +258,43 @@ def _link(reach, coreach, heads: int, tails: int) -> tuple[int, int]:
 
 
 def hb_reaches(g: PartialExecutionGraph, rf: ReadsFrom, src: EventId, dst: EventId) -> bool:
-    """True iff (src, dst) is in the transitive closure of po and rf.
+    """True iff (src, dst) is in the transitive closure of po and rf."""
+    return _hb_reaches(g, number_rf(g, rf), src, dst)
 
-    One forward sweep from src, stopping at dst.  Reaching an event
-    reaches the rest of its thread, so the sweep keeps, per thread, the
-    first event reached and scans each thread's events at most once.
-    """
+
+def _hb_reaches(g: PartialExecutionGraph, rf: list[int], src: EventId, dst: EventId) -> bool:
+    """`hb_reaches` on the numbered rf: one forward sweep from src, stopping
+    at dst.  Reaching an event reaches the rest of its thread, so the sweep
+    keeps, per thread, the first event reached and scans each thread's
+    events at most once."""
     g.event(src)
     g.event(dst)
-    readers: dict[EventId, list[EventId]] = {}
-    for rid, wid in rf.mapping.items():
-        readers.setdefault(wid, []).append(rid)
-    first = {tid: len(evs) for tid, evs in g.events_of.items()}
-    todo = [EventId(src.thread, src.index + 1), *readers.get(src, ())]
+    num = g.numbering
+    s, d = num.index[src], num.index[dst]
+    readers: dict[int, list[int]] = {}
+    for r in num.reads:
+        if rf[r] >= 0:
+            readers.setdefault(rf[r], []).append(r)
+    first = [end for _, end in num.spans]  # per thread; its end: none reached yet
+    todo = list(readers.get(s, ()))
+    if s + 1 < first[num.thread_of[s]]:
+        todo.append(s + 1)
     while todo:
         e = todo.pop()
-        end = first[e.thread]
-        if e.index >= end:
+        t = num.thread_of[e]
+        end = first[t]
+        if e >= end:
             continue
-        if e.thread == dst.thread and e.index <= dst.index < end:
+        if e <= d < end:
             return True
-        first[e.thread] = e.index
-        for ev in g.events_of[e.thread][e.index : end]:
-            todo.extend(readers.get(ev.id, ()))
+        first[t] = e
+        for v in range(e, end):
+            todo += readers.get(v, ())
     return False
 
 
 def _cycle_certificate(
-    g: PartialExecutionGraph, rf: ReadsFrom, cycle: list[int] | None
+    g: PartialExecutionGraph, src: list[int], cycle: list[int] | None
 ) -> list[tuple[EventId, str]] | None:
     """A cycle `_components` found over po ∪ rf successors (plus any mo
     edges) as labelled steps, or None.  A step is labelled po when it is
@@ -306,19 +304,18 @@ def _cycle_certificate(
     num = g.numbering
     steps = []
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        src = num.events[a].id
         if b == a + 1 and num.thread_of[a] == num.thread_of[b]:
             label = PO_EDGE
-        elif rf.mapping.get(num.events[b].id) == src:
+        elif src[b] == a:
             label = RF_EDGE
         else:
             label = MO_EDGE
-        steps.append((src, label))
+        steps.append((num.ids[a], label))
     return normalize_cycle(steps)
 
 
 def porf_cycle(g: PartialExecutionGraph, rf: ReadsFrom) -> list[tuple[EventId, str]] | None:
-    return _cycle_certificate(g, rf, _components(_adjacency(g, rf))[1])
+    return check_axiom(g, rf, None, Axiom.PORF_ACYCLICITY)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +352,12 @@ class _ObservedOrder:
     the triplet rule added, which `added` lists in the order they came.
     """
 
-    def __init__(self, hb: _HbIndex, g: PartialExecutionGraph, rf: ReadsFrom, anchor: EventId):
-        pos = hb.pos
-        a = pos[anchor]
+    def __init__(self, hb: _HbIndex, g: PartialExecutionGraph, src: list[int], anchor: int):
+        num = g.numbering
         self.hb = hb
+        self.ids = num.ids
         self.anchor = anchor
-        self.past = past = hb.back[a] | 1 << a
+        self.past = past = hb.back[anchor] | 1 << anchor
         # Rule 1: hb restricted to the past.  Every hb path between two
         # events of the past stays inside it, so the seed is already closed.
         rows = {e: hb.reach[e] & past for e in _bits(past)}
@@ -370,23 +367,21 @@ class _ObservedOrder:
         # Conflicting triplets anchored at reads po-at-or-before the anchor.
         # A write outside the past never gains an edge, so it is left out.
         triplets: list[tuple[int, int, int]] = []
-        for r in g.events_of[anchor.thread][: anchor.index + 1]:
-            wid = rf.mapping.get(r.id)
-            if wid is None:  # a write, or a read that rf leaves out
+        for r in range(num.spans[num.thread_of[anchor]][0], anchor + 1):
+            w = src[r]
+            if w < 0:  # a write, or a read that rf leaves out
                 continue
-            w, ri = pos[wid], pos[r.id]
-            for other in g.writes_by_var.get(r.var, ()):
-                o = pos[other.id]
-                if other.id != wid and past >> o & 1:
-                    triplets.append((w, ri, o))
+            for o in num.var_writes.get(num.events[r].var, ()):
+                if o != w and past >> o & 1:
+                    triplets.append((w, r, o))
 
         self.added: list[tuple[int, int]] = []
         while True:
             # A round reads the closure as it stood when the round began.
             new = []
-            for w, ri, o in triplets:
+            for w, r, o in triplets:
                 row = rows[o]
-                if row >> ri & 1 and not (row | gen[o]) >> w & 1:
+                if row >> r & 1 and not (row | gen[o]) >> w & 1:
                     gen[o] |= 1 << w
                     new.append((o, w))
             if not new:
@@ -396,10 +391,6 @@ class _ObservedOrder:
             self.added += new
         self.rows = rows
         self.gen = gen
-
-    def contains(self, a: EventId, b: EventId) -> bool:
-        pos = self.hb.pos
-        return a in pos and b in pos and bool(self.rows.get(pos[a], 0) >> pos[b] & 1)
 
     def cycle(self, start: int) -> list[tuple[EventId, str]]:
         """Shortest generating-edge cycle through a reflexive event."""
@@ -424,17 +415,17 @@ class _ObservedOrder:
             path.append(node)
             node = parent[node]
         path.reverse()
-        ids = self.hb.ids
+        ids = self.ids
         return normalize_cycle([(ids[n], OB_EDGE) for n in path])
 
     def relation(self) -> ObRelation:
-        ids, reach, past = self.hb.ids, self.hb.reach, self.past
+        ids, reach, past = self.ids, self.hb.reach, self.past
         pairs = frozenset((ids[e], ids[f]) for e, row in self.rows.items() for f in _bits(row))
         seed = [
             (ids[e], ids[f]) for e in self.rows for f in _bits(reach[e] & past & ~(1 << e))
         ]
         added = [(ids[o], ids[w]) for o, w in self.added]
-        return ObRelation(anchor=self.anchor, pairs=pairs, edges=tuple(seed + added))
+        return ObRelation(anchor=ids[self.anchor], pairs=pairs, edges=tuple(seed + added))
 
 
 def compute_ob(
@@ -451,19 +442,18 @@ def compute_ob(
         evs = g.events_of[anchor]
         if not evs:
             raise EmptyThread(f"thread {anchor!r} has no events")
-        anchor_id = evs[-1].id
+        anchor = evs[-1].id
     else:
-        anchor_id = anchor
-        g.event(anchor_id)
-    return _ObservedOrder(_hb_index(g, rf), g, rf, anchor_id).relation()
+        g.event(anchor)
+    src = number_rf(g, rf)
+    return _ObservedOrder(_hb_index(g, src), g, src, g.numbering.index[anchor]).relation()
 
 
-def _thread_orders(g: PartialExecutionGraph, rf: ReadsFrom, hb: _HbIndex):
+def _thread_orders(g: PartialExecutionGraph, src: list[int], hb: _HbIndex):
     """The observed order of every non-empty thread, in sorted thread order."""
-    events = g.numbering.events
     for start, end in g.numbering.spans:
         if start < end:
-            yield _ObservedOrder(hb, g, rf, events[end - 1].id)
+            yield _ObservedOrder(hb, g, src, end - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -471,29 +461,16 @@ def _thread_orders(g: PartialExecutionGraph, rf: ReadsFrom, hb: _HbIndex):
 # ---------------------------------------------------------------------------
 
 
-def _suffix_masks(hb: _HbIndex, order: list[EventId]) -> list[int]:
-    """later[i]: the bits of the events after order[i]."""
-    later = [0] * len(order)
-    acc = 0
-    for i in range(len(order) - 1, 0, -1):
-        acc |= 1 << hb.pos[order[i]]
-        later[i - 1] = acc
-    return later
-
-
-def _check_mo(
-    g: PartialExecutionGraph, mo: ModificationOrder | None, needed_by: str | None
-) -> None:
-    """Validate a given mo; when `needed_by` (an axiom or a model) reads
-    mo, require one that covers every written location."""
-    if mo is not None:
-        mo.validate(g)
-    if needed_by is None:
-        return
-    if mo is None:
+def _check_mo(g: PartialExecutionGraph, mo: ModificationOrder | None, needed_by: str | None):
+    """Validate and number a given mo (`number_mo`); when `needed_by` (an
+    axiom or a model) reads mo, require one that covers every written
+    location."""
+    if needed_by is not None and mo is None:
         raise MissingMo(f"{needed_by} needs a modification order")
-    if not mo.covers(g):
+    numbered = None if mo is None else number_mo(g, mo)
+    if needed_by is not None and not mo.covers(g):
         raise MissingMo("modification order does not cover every written location")
+    return numbered
 
 
 def check_axiom(
@@ -510,80 +487,82 @@ def check_axiom(
     and an axiom that reads mo needs one that covers every written
     location (MissingMo).
     """
-    _check_mo(g, mo, f"axiom {ax.value}" if ax in MO_AXIOMS else None)
-    return _check_axiom(g, rf, mo, ax, _hb_index(g, rf) if ax in HB_AXIOMS else None)
+    numbered_mo = _check_mo(g, mo, f"axiom {ax.value}" if ax in MO_AXIOMS else None)
+    src = number_rf(g, rf)
+    return _check_axiom(g, src, numbered_mo, ax, _hb_index(g, src) if ax in HB_AXIOMS else None)
 
 
 def _check_axiom(
-    g: PartialExecutionGraph, rf: ReadsFrom, mo: ModificationOrder | None, ax: Axiom, hb
+    g: PartialExecutionGraph, src: list[int], mo, ax: Axiom, hb: _HbIndex | None
 ) -> list[tuple[EventId, str]] | None:
-    """`check_axiom` on validated witnesses and rf's hb index, if built."""
+    """`check_axiom` on the numbered rf and mo, and rf's hb index if built."""
+    num = g.numbering
+    ids, events = num.ids, num.events
+    orders, rank = mo or (None, None)
+
     if ax is Axiom.PORF_ACYCLICITY:
-        return porf_cycle(g, rf) if hb is None else _cycle_certificate(g, rf, hb.cycle)
+        cycle = _components(_adjacency(g, src))[1] if hb is None else hb.cycle
+        return _cycle_certificate(g, src, cycle)
 
-    if ax is Axiom.WRITE_COHERENCE:
-        for var in sorted(mo.per_var):
-            order = mo.order(var)
-            later = _suffix_masks(hb, order)
-            for i, w1 in enumerate(order):
-                hit = hb.back[hb.pos[w1]] & later[i]
-                if hit:
-                    return [(w1, MO_EDGE), (hb.first(order[i + 1 :], hit), HB_EDGE)]
-        return None
-
-    if ax is Axiom.READ_COHERENCE:
-        scans: dict[str, tuple[list[EventId], dict[EventId, int], list[int]]] = {}
-        for r, w1 in _rf_edges(g, rf):
-            if r.var not in scans:
-                order = mo.order(r.var)
-                scans[r.var] = order, mo.position(r.var), _suffix_masks(hb, order)
-            order, position, later = scans[r.var]
-            pos = position[w1]
-            hit = hb.back[hb.pos[r.id]] & later[pos]
+    if ax in (Axiom.WRITE_COHERENCE, Axiom.READ_COHERENCE):
+        # Broken when a write mo-after w1 happens-before e, which is w1
+        # itself or a read of w1; the certificate's w2 is the mo-first one.
+        if ax is Axiom.WRITE_COHERENCE:
+            pairs = ((w, w) for var in sorted(orders) for w in orders[var])
+        else:
+            pairs = ((r, src[r]) for r in num.reads if src[r] >= 0)
+        later = [0] * len(ids)  # later[w]: the writes mo-after write w
+        for order in orders.values():
+            acc = 0
+            for w in reversed(order):
+                later[w], acc = acc, acc | 1 << w
+        for e, w1 in pairs:
+            hit = hb.back[e] & later[w1]
             if hit:
-                w2 = hb.first(order[pos + 1 :], hit)
-                return [(r.id, RF_INV_EDGE), (w1, MO_EDGE), (w2, HB_EDGE)]
+                w2 = min(_bits(hit), key=rank.__getitem__)
+                cert = [(ids[w1], MO_EDGE), (ids[w2], HB_EDGE)]
+                return cert if e == w1 else [(ids[e], RF_INV_EDGE), *cert]
         return None
 
     if ax is Axiom.STRONG_WRITE_COHERENCE:
         # acy(hb ∪ mo) == acy(po ∪ rf ∪ mo); consecutive mo edges suffice.
-        succ = _adjacency(g, rf)
-        pos = g.numbering.index
-        for var in sorted(mo.per_var):
-            order = mo.order(var)
+        succ = _adjacency(g, src)
+        for var in sorted(orders):
+            order = orders[var]
             for a, b in zip(order, order[1:]):
-                succ[pos[a]].append(pos[b])
-        return _cycle_certificate(g, rf, _components(succ)[1])
+                succ[a].append(b)
+        return _cycle_certificate(g, src, _components(succ)[1])
 
     if ax is Axiom.WEAK_READ_COHERENCE:
-        writes = g.numbering.write_mask
-        for r, w1 in _rf_edges(g, rf):
+        writes = num.write_mask
+        for r in num.reads:
+            w1 = src[r]
             # writes of the location hb-before the read and hb-after its write
-            hit = hb.back[hb.pos[r.id]] & writes[r.var] & hb.reach[hb.pos[w1]]
+            hit = w1 >= 0 and hb.back[r] & writes[events[r].var] & hb.reach[w1]
             if hit:
-                w2 = hb.ids[(hit & -hit).bit_length() - 1]
-                return [(r.id, RF_INV_EDGE), (w1, HB_EDGE), (w2, HB_EDGE)]
+                w2 = (hit & -hit).bit_length() - 1
+                return [(ids[r], RF_INV_EDGE), (ids[w1], HB_EDGE), (ids[w2], HB_EDGE)]
         return None
 
     if ax is Axiom.RELAXED_WRITE_COHERENCE:
         # A write breaks it when a po-earlier write of its thread is
         # mo-after it; the certificate takes the mo-first such write and,
         # as w2, the mo-first of those po-earlier writes above it.
-        for var in sorted(mo.per_var):
-            position = mo.position(var)
+        thread_of = num.thread_of
+        for var in sorted(orders):
             w1 = w2 = None  # mo positions of the certificate's writes
             exposed, thread = 0, None  # mo positions of the thread's writes so far
-            for w in g.writes_by_var.get(var, ()):
-                if w.id.thread != thread:
-                    exposed, thread = 0, w.id.thread
-                pos = position[w.id]
+            for w in num.var_writes.get(var, ()):
+                if thread_of[w] != thread:
+                    exposed, thread = 0, thread_of[w]
+                pos = rank[w]
                 above = exposed >> pos + 1
                 if above and (w1 is None or pos < w1):
                     w1, w2 = pos, pos + (above & -above).bit_length()
                 exposed |= 1 << pos
             if w1 is not None:
-                order = mo.order(var)
-                return [(order[w1], MO_EDGE), (order[w2], PO_EDGE)]
+                order = orders[var]
+                return [(ids[order[w1]], MO_EDGE), (ids[order[w2]], PO_EDGE)]
         return None
 
     if ax is Axiom.RELAXED_READ_COHERENCE:
@@ -594,32 +573,32 @@ def _check_axiom(
         # the read, else through the first read that took it.  Reads are
         # scanned in sorted-id order, so the first one found is the first
         # of `g.reads`.
-        positions = {var: mo.position(var) for var in mo.per_var}
-        num = g.numbering
         for start, end in num.spans:
             exposed: dict[str, int] = {}  # location -> mask of exposed positions
-            via: dict[EventId, EventId | None] = {}  # exposed write -> first read of it
-            for ev in num.events[start:end]:
-                w = rf.mapping.get(ev.id) if ev.is_read else ev.id
-                if w is None:  # a read that rf leaves out exposes nothing
+            via: dict[int, int] = {}  # exposed write -> first read of it, -1: itself
+            for e in range(start, end):
+                ev = events[e]
+                w = src[e] if ev.is_read else e
+                if w < 0:  # a read that rf leaves out exposes nothing
                     continue
-                pos = positions[ev.var][w]
+                pos = rank[w]
                 seen = exposed.get(ev.var, 0)
                 if ev.is_read:
                     above = seen >> pos + 1
                     if above:
-                        w2 = mo.order(ev.var)[pos + (above & -above).bit_length()]
+                        w2 = orders[ev.var][pos + (above & -above).bit_length()]
                         r2 = via[w2]
-                        tail = [(w2, PO_EDGE)] if r2 is None else [(w2, RF_EDGE), (r2, PO_EDGE)]
-                        return [(ev.id, RF_INV_EDGE), (w, MO_EDGE), *tail]
-                    via.setdefault(w, ev.id)
+                        tail = [(w2, PO_EDGE)] if r2 < 0 else [(w2, RF_EDGE), (r2, PO_EDGE)]
+                        cert = [(e, RF_INV_EDGE), (w, MO_EDGE), *tail]
+                        return [(ids[x], label) for x, label in cert]
+                    via.setdefault(w, e)
                 else:
-                    via[w] = None  # the write itself is po-before later reads
+                    via[w] = -1  # the write itself is po-before later reads
                 exposed[ev.var] = seen | 1 << pos
         return None
 
     if ax is Axiom.OB_ACYCLICITY:
-        for ob in _thread_orders(g, rf, hb):
+        for ob in _thread_orders(g, src, hb):
             start = next((e for e, row in ob.rows.items() if row >> e & 1), None)
             if start is not None:
                 return ob.cycle(start)
@@ -642,13 +621,14 @@ def verify(
     is checked once and its certificate (None when it holds) is stored
     under it; the verdict is still the first violation.
     """
-    rf.validate(g)
-    _check_mo(g, mo, f"model {m.value}" if model_needs_mo(m) else None)
+    rf._check_domain(g)
+    src = number_rf(g, rf)  # validates each rf edge
+    numbered_mo = _check_mo(g, mo, f"model {m.value}" if model_needs_mo(m) else None)
     verdict = None
     # hb models check porf first: without a report a cyclic rf stops there
-    hb = _hb_index(g, rf, report is None) if HB_AXIOMS.intersection(axioms_for(m)) else None
+    hb = _hb_index(g, src, report is None) if HB_AXIOMS.intersection(axioms_for(m)) else None
     for ax in axioms_for(m):
-        cert = _check_axiom(g, rf, mo, ax, hb)
+        cert = _check_axiom(g, src, numbered_mo, ax, hb)
         if report is not None:
             report[ax] = cert
         if cert is not None and verdict is None:
@@ -673,39 +653,33 @@ def replay_certificate(
 
     Certificates are cyclic: the last event's edge leads back to the first.
     Single-event certificates (a blocking read) have no edges to check.
-    rf may be partial: a read it leaves out has no rf edge.
+    rf may be partial: a read it leaves out has no rf edge.  A given mo
+    must be valid (ModelError).
     """
     if len(cert) <= 1:
         return all(g.has_event(e) for e, _ in cert)
-    ob_steps: list[tuple[EventId, EventId]] = []
-    for i, (a, label) in enumerate(cert):
-        b = cert[(i + 1) % len(cert)][0]
+    num = g.numbering
+    src = None if rf is None else number_rf(g, rf)
+    rank = None if mo is None else number_mo(g, mo)[1]
+    nums = [num.index.get(e, -1) for e, _ in cert]  # -1: no such event
+    ob_steps: list[tuple[int, int]] = []
+    for (a, label), (b, _), x, y in zip(cert, cert[1:] + cert[:1], nums, nums[1:] + nums[:1]):
         if label == PO_EDGE:
-            if not g.po(a, b):
-                return False
-        elif label == RF_EDGE:
-            if rf is None or rf.mapping.get(b) != a:
-                return False
-        elif label == RF_INV_EDGE:
-            if rf is None or rf.mapping.get(a) != b:
-                return False
-        elif label == MO_EDGE:
-            if mo is None:
-                return False
-            var = g.event(a).var
-            order = mo.per_var.get(var, [])
-            if a not in order or b not in order or order.index(a) >= order.index(b):
-                return False
+            ok = g.po(a, b)
+        elif label in (RF_EDGE, RF_INV_EDGE):
+            read, write = (y, x) if label == RF_EDGE else (x, y)
+            ok = src is not None and min(x, y) >= 0 and src[read] == write
+        elif label == MO_EDGE:  # two writes of one location, a first
+            ok = rank is not None and y >= 0 and num.events[y].var == g.event(a).var
+            ok = ok and 0 <= rank[x] < rank[y]
         elif label == HB_EDGE:
-            if rf is None or not hb_reaches(g, rf, a, b):
-                return False
-        elif label == OB_EDGE:
-            ob_steps.append((a, b))
+            ok = src is not None and _hb_reaches(g, src, a, b)
         else:
+            ok = label == OB_EDGE and src is not None and min(x, y) >= 0
+            ob_steps.append((x, y))
+        if not ok:
             return False
     if ob_steps:
-        if rf is None:
-            return False
-        hb = _hb_index(g, rf)
-        return any(all(ob.contains(a, b) for a, b in ob_steps) for ob in _thread_orders(g, rf, hb))
+        orders = _thread_orders(g, src, _hb_index(g, src))
+        return any(all(ob.rows.get(x, 0) >> y & 1 for x, y in ob_steps) for ob in orders)
     return True

@@ -200,6 +200,43 @@ class Numbering:
         return out
 
 
+def number_rf(g: PartialExecutionGraph, rf: ReadsFrom) -> list[int]:
+    """rf on the graph's numbering: `src[i]` is the number of the write
+    that read i takes, -1 for a write and for a read that rf leaves out.
+    Raises InvalidRf unless each source is a write of its read's location
+    and value."""
+    num = g.numbering
+    index, ids, events, writer = num.index, num.ids, num.events, rf.mapping.get
+    src = [-1] * len(ids)
+    for r in num.reads:
+        if (wid := writer(ids[r])) is None:
+            continue
+        w = src[r] = index.get(wid, -1)
+        if w < 0:
+            raise InvalidRf(f"rf source {wid} does not exist")
+        if events[w].op != WRITE:
+            raise InvalidRf(f"rf source {wid} is not a write")
+        if events[w][2:] != events[r][2:]:  # (var, val)
+            raise InvalidRf(f"rf edge {wid} -> {ids[r]} mismatches on location or value")
+    return src
+
+
+def number_mo(
+    g: PartialExecutionGraph, mo: ModificationOrder
+) -> tuple[dict[str, list[int]], list[int]]:
+    """mo on the graph's numbering, validated: each location's writes in
+    mo order, and `rank[w]`, write w's place in its order (-1: none)."""
+    num = g.numbering
+    index, rank = num.index, [-1] * len(num.events)
+    orders = {var: [index.get(wid, -1) for wid in order] for var, order in mo.per_var.items()}
+    for var, order in orders.items():
+        if sorted(order) != num.var_writes.get(var, []):  # -1: no such event
+            raise ModelError(f"mo for {var!r} is not a permutation of that location's writes")
+        for i, w in enumerate(order):
+            rank[w] = i
+    return orders, rank
+
+
 def build_graph(threads: list[tuple[str, list[tuple[str, str, int]]]]) -> PartialExecutionGraph:
     """Build a validated graph from (thread id, [(op, var, val), ...]) pairs.
 
@@ -261,21 +298,15 @@ class ReadsFrom:
 
     def validate(self, g: PartialExecutionGraph) -> None:
         """Raise InvalidRf unless this relation satisfies its type invariants."""
-        expected = {r.id for r in g.reads}
-        if set(self.mapping) != expected:
-            missing = expected - set(self.mapping)
-            extra = set(self.mapping) - expected
-            raise InvalidRf(f"rf domain mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        index, events = g.numbering.index, g.numbering.events
-        for rid, wid in self.mapping.items():
-            i = index.get(wid)
-            if i is None:
-                raise InvalidRf(f"rf source {wid} does not exist")
-            w, r = events[i], events[index[rid]]
-            if not w.is_write:
-                raise InvalidRf(f"rf source {wid} is not a write")
-            if w.var != r.var or w.val != r.val:
-                raise InvalidRf(f"rf edge {wid} -> {rid} mismatches on location or value")
+        self._check_domain(g)
+        number_rf(g, self)
+
+    def _check_domain(self, g: PartialExecutionGraph) -> None:
+        """Raise InvalidRf unless this relation maps exactly the reads."""
+        given, expected = set(self.mapping), {r.id for r in g.reads}
+        if given != expected:
+            missing, extra = sorted(expected - given), sorted(given - expected)
+            raise InvalidRf(f"rf domain mismatch: missing={missing} extra={extra}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReadsFrom):
@@ -303,17 +334,8 @@ class ModificationOrder:
     def order(self, var: str) -> list[EventId]:
         return self.per_var[var]
 
-    def position(self, var: str) -> dict[EventId, int]:
-        return {wid: i for i, wid in enumerate(self.per_var[var])}
-
     def validate(self, g: PartialExecutionGraph) -> None:
-        index, var_writes = g.numbering.index, g.numbering.var_writes
-        for var, order in self.per_var.items():
-            nums = {index.get(wid, -1) for wid in order}  # -1: no such event
-            if len(nums) != len(order) or nums != set(var_writes.get(var, ())):
-                raise ModelError(
-                    f"mo for {var!r} is not a permutation of that location's writes"
-                )
+        number_mo(g, self)
 
     def covers(self, g: PartialExecutionGraph) -> bool:
         return all(var in self.per_var for var in g.writes_by_var)

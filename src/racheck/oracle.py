@@ -58,6 +58,8 @@ Happens-before and the relaxed forced order are maintained incrementally
 as per-event reachability bitmasks over the graph's shared numbering,
 snapshotted per search node.  At a leaf the hb masks are the po ∪ rf
 closure of a porf-acyclic graph: CM's ob check reads them as its index.
+The leaf hands its rf, on the numbering, to that check and `_first_mo`,
+and builds a `ReadsFrom` only for a leaf that it records.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ DEFAULT_LIMITS = OracleLimits()
 
 
 class _Encoding:
-    """The graph's numbering with two transitive closures as per-event
-    reach/coreach masks, both grown by the search: hb (`reach`,
+    """Two transitive closures as per-event reach/coreach masks on the
+    graph's numbering, both grown by the search: hb (`reach`,
     `coreach`), starting as po, and the relaxed forced write order
     (`mo_reach`, `mo_coreach`), starting as each location's writes in
     po."""
@@ -115,7 +117,6 @@ class _Encoding:
     def __init__(self, g: PartialExecutionGraph):
         num = g.numbering
         self.events = num.events
-        self.index = num.index
         n = len(self.events)
         self.reach = [0] * n
         self.coreach = [0] * n
@@ -224,18 +225,20 @@ class _Search:
         every_depth = (1 << len(self.order)) - 1
 
         def leaf() -> bool:
-            rf = ReadsFrom(
-                {enc.events[r].id: enc.events[w].id for r, w, _ in self.assigned_reads}
-            )
+            src = [-1] * len(enc.events)  # `number_rf`'s form
+            for r, w, _ in self.assigned_reads:
+                src[r] = w
             mo: ModificationOrder | None = None
             if self.check_ob:
-                hb = _HbIndex(self.g, enc.reach, enc.coreach)
-                if _check_axiom(self.g, rf, None, Axiom.OB_ACYCLICITY, hb) is not None:
+                hb = _HbIndex(enc.reach, enc.coreach)
+                if _check_axiom(self.g, src, None, Axiom.OB_ACYCLICITY, hb) is not None:
                     return False
             if model_needs_mo(self.model):
-                mo = _first_mo(self.g, enc, rf, self.model)
+                mo = _first_mo(self.g, enc, src, self.model)
                 if mo is None:
                     return False
+            ids = self.g.numbering.ids
+            rf = ReadsFrom({ids[r]: ids[w] for r, w, _ in self.assigned_reads})
             found.append(rf)
             if stop_at_first:
                 witness.append((rf, mo))
@@ -307,12 +310,12 @@ class _Search:
 def _first_mo(
     g: PartialExecutionGraph,
     enc: _Encoding,
-    rf: ReadsFrom,
+    rf: list[int],
     model: MemoryModel,
 ) -> ModificationOrder | None:
     """First modification order satisfying the model's mo axioms for a
     fixed rf, lexicographic over sorted locations and `writes_by_var`
-    order; None when none exists.
+    order; None when none exists.  rf is in `number_rf`'s form.
 
     With rf fixed every mo axiom only forces some write of a location
     before another, so a valid mo is a topological order of those forced
@@ -335,8 +338,9 @@ def _first_mo(
     sra = model is MemoryModel.SRA
     if sra or model is MemoryModel.RA:
         before = list(enc.coreach)
-        for rid, wid in rf.mapping.items():
-            before[enc.index[wid]] |= enc.coreach[enc.index[rid]]
+        for w, co in zip(rf, enc.coreach):
+            if w >= 0:
+                before[w] |= co
         if sra:
             reach, coreach = list(enc.reach), list(enc.coreach)
         for mask in enc.var_write_mask.values():

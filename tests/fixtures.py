@@ -246,6 +246,17 @@ def observed_order_cyclic():
     return g, rf
 
 
+def crossed_reads() -> PartialExecutionGraph:
+    """Two threads each write x 1 and then read x 1 (shrunk from a
+    generated multi-writer input).  Of its four rfs the one where each
+    read takes the other thread's write has no mo under sra or ra: each
+    write is hb-before the read of the other, so each must be mo-before
+    the other.  The other three have one."""
+    return build_graph(
+        [("t1", [("w", "x", 1), ("r", "x", 1)]), ("t2", [("w", "x", 1), ("r", "x", 1)])]
+    )
+
+
 def scaling_graph(n: int, num_locations: int = 8, values: int = 4) -> PartialExecutionGraph:
     """Deterministic single-writer family for runtime measurements.
 

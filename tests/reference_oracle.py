@@ -50,6 +50,7 @@ from racheck.model import (
     ModificationOrder,
     PartialExecutionGraph,
     ReadsFrom,
+    number_rf,
 )
 from racheck.oracle import (
     DEFAULT_LIMITS,
@@ -76,6 +77,13 @@ def read_candidates(g: PartialExecutionGraph) -> list[tuple[Event, list[EventId]
 
 def unmatched_read(g: PartialExecutionGraph) -> EventId | None:
     return next((r.id for r, matches in read_candidates(g) if not matches), None)
+
+
+def reads_from(g: PartialExecutionGraph, src: list[int]) -> ReadsFrom:
+    """The ReadsFrom of an rf on the numbering, as `number_rf` gives it
+    and the oracle's leaves pass it on."""
+    ids = g.numbering.ids
+    return ReadsFrom({ids[r]: ids[w] for r, w in enumerate(src) if w >= 0})
 
 
 def enumerate_rfs(g: PartialExecutionGraph, limits: OracleLimits = DEFAULT_LIMITS):
@@ -175,7 +183,7 @@ class ChronologicalSearch(_Search):
                 if check_axiom(self.g, rf, None, Axiom.OB_ACYCLICITY) is not None:
                     return False
             if model_needs_mo(self.model):
-                mo = _first_mo(self.g, enc, rf, self.model)
+                mo = _first_mo(self.g, enc, number_rf(self.g, rf), self.model)
                 if mo is None:
                     return False
             found.append(rf)
@@ -259,6 +267,7 @@ def permutation_first_mo(
     readers: dict[EventId, list[EventId]] = {}
     for rid, wid in rf.mapping.items():
         readers.setdefault(wid, []).append(rid)
+    index = g.numbering.index
     budget = [0]
 
     def spend() -> None:
@@ -267,7 +276,7 @@ def permutation_first_mo(
             raise BudgetExceeded("max_mo_permutations", max_permutations)
 
     def hb(a: EventId, b: EventId) -> bool:
-        return bool(enc.reach[enc.index[a]] & (1 << enc.index[b]))
+        return bool(enc.reach[index[a]] & (1 << index[b]))
 
     variables = sorted(g.writes_by_var)
 
@@ -333,7 +342,7 @@ def permutation_first_mo(
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-            i = enc.index[node]
+            i = index[node]
             for j in _bits(enc.reach[i]):
                 tgt = enc.events[j].id
                 if tgt in extra and tgt not in seen:

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import racheck
@@ -91,7 +92,8 @@ def test_solve_parameters():
 
 # `bench/run.py` wraps both by name and calls them with these arguments:
 # the tracer's per-axiom detail takes (g, rf, mo, ax), and the oracle's mo
-# synthesis is timed as `_first_mo(g, enc, rf, model)`.
+# synthesis is timed as `_first_mo(g, enc, rf, model)`, where rf is the
+# leaf's rf on the numbering (`number_rf`'s form), not a ReadsFrom.
 def test_check_axiom_parameters():
     assert list(inspect.signature(racheck.check_axiom).parameters) == ["g", "rf", "mo", "ax"]
 
@@ -124,3 +126,37 @@ def test_no_unused_imports():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _reads(node: ast.AST) -> Counter:
+    """Names read under node: loaded names and attribute names."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names[sub.id] += 1
+    return names
+
+
+# A private helper that loses its last caller goes with it: every private
+# module-level function or class is read somewhere in `src/racheck` outside
+# its own body.
+def test_no_unread_private_definitions():
+    src = Path(racheck.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    reads = sum(map(_reads, trees.values()), Counter())
+    unread = {
+        name: defs
+        for name, tree in trees.items()
+        if (
+            defs := [
+                node.name
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and reads[node.name] == _reads(node)[node.name]
+            ]
+        )
+    }
+    assert unread == {}

@@ -28,7 +28,7 @@ from racheck import (
 from racheck import axioms
 from racheck.axioms import Axiom, EmptyThread, check_axiom, porf_cycle
 from racheck.harness import FuzzParams
-from racheck.model import MO_EDGE, PO_EDGE, RF_EDGE, RF_INV_EDGE
+from racheck.model import MO_EDGE, PO_EDGE, RF_EDGE, RF_INV_EDGE, number_mo, number_rf
 
 import fixtures as fx
 import reference_axioms as ref
@@ -195,6 +195,32 @@ def test_given_mo_is_validated_by_every_check():
     for m in MemoryModel:
         with pytest.raises(ModelError):
             verify(g, rf, short, m)
+    with pytest.raises(ModelError):
+        replay_certificate(g, [(E("t1", 0), "po"), (E("t1", 1), "mo")], rf, short)
+
+
+def test_invalid_rf_edges_are_rejected_at_entry():
+    # every entry point numbers its rf first, and the numbering checks each
+    # rf edge it numbers, so a partial rf is checked edge by edge
+    g = build_graph([("t1", [("w", "x", 1), ("w", "y", 1), ("r", "x", 1)])])
+    mo = ModificationOrder({"x": [E("t1", 0)], "y": [E("t1", 1)]})
+    cases = {
+        E("zz", 0): "rf source zz:0 does not exist",
+        E("t1", 2): "rf source t1:2 is not a write",
+        E("t1", 1): "rf edge t1:1 -> t1:2 mismatches on location or value",
+    }
+    for source, message in cases.items():
+        rf = ReadsFrom({E("t1", 2): source})
+        calls = [lambda ax=ax: check_axiom(g, rf, mo, ax) for ax in Axiom] + [
+            lambda: hb_reaches(g, rf, E("t1", 0), E("t1", 1)),
+            lambda: compute_ob(g, rf, "t1"),
+            lambda: replay_certificate(g, [(E("t1", 0), "hb"), (E("t1", 1), "hb")], rf),
+            lambda: verify(g, rf, mo, MemoryModel.SRA),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidRf) as err:
+                call()
+            assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +406,33 @@ def test_verify_builds_one_hb_index(monkeypatch):
     }
 
 
+def test_verify_numbers_each_witness_once(monkeypatch):
+    # verify validates and numbers rf and mo at entry, and every check reads
+    # those numbers; a validation of mo is its numbering
+    counts = {}
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args)
+
+        return call
+
+    for module in ("racheck.axioms", "racheck.model"):
+        monkeypatch.setattr(f"{module}.number_rf", counted("rf", number_rf))
+        monkeypatch.setattr(f"{module}.number_mo", counted("mo", number_mo))
+    g, rf, mo = fx.mo_against_hb()
+    for m in axioms.MODEL_AXIOMS:
+        for report in (None, {}):
+            counts.clear()
+            verify(g, rf, mo, m, report)
+            assert counts == {"rf": 1, "mo": 1}, m
+        counts.clear()
+        if not axioms.model_needs_mo(m):
+            verify(g, rf, None, m)
+            assert counts == {"rf": 1}, m
+
+
 def test_verify_stops_at_porf_cycle_before_closing_hb(monkeypatch):
     # without a report, a porf-cyclic rf fails the first axiom on the DFS's
     # cycle; the closure it would never read is not propagated
@@ -406,9 +459,9 @@ def test_cm_verify_scales_on_synchronizing_graph():
     checked = verify(g, verdict.rf, verdict.mo, MemoryModel.CM)
     elapsed = time.perf_counter() - start
     assert checked.is_consistent
-    hb = axioms._hb_index(g, verdict.rf)
-    for tid in g.thread_ids:
-        assert hb.back[hb.pos[g.events_of[tid][-1].id]].bit_count() > 900
+    hb = axioms._hb_index(g, number_rf(g, verdict.rf))
+    for _, end in g.numbering.spans:
+        assert hb.back[end - 1].bit_count() > 900
     assert elapsed < 5.0, f"verify under cm took {elapsed:.2f}s on {g.num_events} events"
 
 

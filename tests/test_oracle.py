@@ -39,6 +39,7 @@ from reference_oracle import (
     enumerate_rfs,
     permutation_first_mo,
     read_candidates,
+    reads_from,
     unmatched_read,
 )
 
@@ -479,6 +480,32 @@ def test_backjumps_counted_on_unsat_relaxed_gadget():
     assert (reference.rf_nodes, reference.backjumps) == (13_725, 0)
 
 
+def test_oracle_builds_one_reads_from_per_recorded_leaf(monkeypatch):
+    # a leaf checks the rf on the numbering and builds a ReadsFrom only for
+    # the witness it records, not for a leaf whose mo synthesis fails
+    built, failed = [], []
+    reads_from_type, first_mo = oracle.ReadsFrom, oracle._first_mo
+
+    def counted_reads_from(*args):
+        built.append(args)
+        return reads_from_type(*args)
+
+    def counted_first_mo(*args):
+        mo = first_mo(*args)
+        failed.append(mo is None)
+        return mo
+
+    monkeypatch.setattr(oracle, "ReadsFrom", counted_reads_from)
+    monkeypatch.setattr(oracle, "_first_mo", counted_first_mo)
+    g = fx.crossed_reads()
+    rfs = all_consistent_rfs(g, MemoryModel.SRA)
+    assert (len(failed), failed.count(True), len(rfs)) == (4, 1, 3)
+    assert len(built) == len(rfs)
+    built.clear()
+    assert oracle_consistent(g, MemoryModel.SRA).is_consistent
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # cm leaves on the search's own hb closure
 # ---------------------------------------------------------------------------
@@ -491,14 +518,14 @@ def _cm_leaf_certificates(g, limits):
     leaf_check = oracle._check_axiom
     certs = []
 
-    def checked(g, rf, mo, ax, hb):
+    def checked(g, src, mo, ax, hb):
         assert ax is Axiom.OB_ACYCLICITY
-        fresh = axioms._hb_index(g, rf)
+        fresh = axioms._hb_index(g, src)
         # the search prunes porf under cm, so its closure is acyclic
         assert fresh.cycle is None and hb.cycle is None
         assert (hb.reach, hb.back) == (fresh.reach, fresh.back)
-        cert = leaf_check(g, rf, mo, ax, hb)
-        assert cert == check_axiom(g, rf, None, Axiom.OB_ACYCLICITY)
+        cert = leaf_check(g, src, mo, ax, hb)
+        assert cert == check_axiom(g, reads_from(g, src), None, Axiom.OB_ACYCLICITY)
         certs.append(cert)
         return cert
 
@@ -628,8 +655,9 @@ def _checked_leaves(g, m):
     outcomes = []
     exhausted = []
 
-    def checked(g, enc, rf, model):
-        mo = first_mo(g, enc, rf, model)
+    def checked(g, enc, src, model):
+        mo = first_mo(g, enc, src, model)
+        rf = reads_from(g, src)
         # the relaxed prune is exact: a relaxed leaf always has an mo
         assert mo is not None or model not in RELAXED_MODELS
         if mo is not None:
