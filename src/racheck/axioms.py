@@ -250,10 +250,17 @@ def _link(reach, coreach, heads: int, tails: int) -> tuple[int, int]:
         sources |= coreach[h]
     for t in _bits(tails):
         targets |= reach[t]
-    for s in _bits(sources):
-        reach[s] |= targets
-    for t in _bits(targets):
-        coreach[t] |= sources
+    # the two hot loops walk the bits inline: no generator per event
+    rest = sources
+    while rest:
+        low = rest & -rest
+        reach[low.bit_length() - 1] |= targets
+        rest ^= low
+    rest = targets
+    while rest:
+        low = rest & -rest
+        coreach[low.bit_length() - 1] |= sources
+        rest ^= low
     return sources, targets
 
 

@@ -290,9 +290,6 @@ class ReadsFrom:
 
     mapping: dict[EventId, EventId] = field(default_factory=dict)
 
-    def writer(self, read_id: EventId) -> EventId:
-        return self.mapping[read_id]
-
     def items(self):
         return sorted(self.mapping.items())
 
@@ -330,9 +327,6 @@ class ModificationOrder:
     """Per-location total order over that location's write events."""
 
     per_var: dict[str, list[EventId]] = field(default_factory=dict)
-
-    def order(self, var: str) -> list[EventId]:
-        return self.per_var[var]
 
     def validate(self, g: PartialExecutionGraph) -> None:
         number_mo(g, self)

@@ -23,18 +23,25 @@ assignments only when no completion can satisfy the queried model:
    a modification order.
 
 The search backjumps over conflict sets (Prosser's CBJ).  Each prune
-names the depths of the assigned reads it rests on:
+names the depths of the assigned reads it rests on, a set whose rf edges
+alone force the failure:
 
- * porf cycle (read r takes write w, and r already reaches w): every
-   assigned read q with w_q in reach(r) ∪ {r} and q in coreach(w) ∪ {w},
-   taken before the edge w -> r is added, so every rf edge that can lie
-   on a path r ->* w;
- * weak-read-coherence at (q, w_q): the rf edges that can lie on a path
-   w_q ->* q, q's own included;
+ * porf cycle (read r takes write w, and r already reaches w): r and
+   the reads whose rf edges make one po/rf path r ->* w.  It is found
+   before the edge w -> r is added, so a pruned candidate costs no
+   snapshot;
+ * weak-read-coherence at (q, w_q), with w_q ->+ w2 ->+ q for a write w2
+   of q's location: q and the reads of one path w_q ->+ w2 and one path
+   w2 ->+ q, for the w2 whose set is shallowest.  Before the new edge no
+   read broke the axiom, so only the reads it reaches are checked;
  * relaxed forced cycle on location x: every assigned read of x, as the
    forced digraph of x depends on those alone;
  * a failed leaf (ob-acyclicity under CM, or no modification order
    under RA or SRA): every depth.
+
+Each path is chosen so that its deepest rf edge is as shallow as
+possible (`_Search._path`), so a read that fails on it jumps back as far
+as one path allows.
 
 A read that runs out of candidates returns the union of its conflict
 sets minus itself, and a read whose depth is not in a returned set
@@ -125,6 +132,7 @@ class _Encoding:
                 self.reach[i] = (1 << end) - (2 << i)
                 self.coreach[i] = (1 << i) - (1 << start)
         self.po_before = list(self.coreach)  # strict po-prefix, never grows
+        self.po_after = list(self.reach)  # strict po-suffix, never grows
         self.var_write_mask = num.write_mask
         self.mo_reach = [0] * n
         self.mo_coreach = [0] * n
@@ -197,14 +205,56 @@ class _Search:
 
     # -- conflict sets ----------------------------------------------------
 
-    def _depths_between(self, heads: int, tails: int) -> int:
-        """Depths of the assigned reads q whose edge w_q -> q can lie on a
-        po/rf path from `heads` to `tails`: w_q in `heads`, q in `tails`."""
-        mask = 0
+    def _path(self, a: int, b: int) -> int:
+        """Depths of the assigned reads whose rf edges make one po/rf path
+        a ->* b, chosen so that its deepest edge is as shallow as possible;
+        a must reach b or be it.
+
+        The edges that can lie on such a path (w_q reached from a, q
+        reaching b) are admitted in depth order.  After each, every
+        admitted edge whose write is reached joins, adding its read's
+        po-suffix to the events reached from a, until none does.  Once b is
+        reached, the walk back from b takes, at each step, the first joined
+        edge whose read is the current event or po-before it: its write was
+        reached before it joined, so the walk ends in a's po-suffix.
+        """
+        enc = self.enc
+        po_after = enc.po_after
+        start = po_after[a] | 1 << a
+        if start >> b & 1:
+            return 0
+        heads, tails = enc.reach[a] | 1 << a, enc.coreach[b] | 1 << b
+        reached = start
+        admitted: list[tuple[int, int, int]] = []  # (depth, read, write)
+        joined: list[tuple[int, int, int]] = []  # in the order they joined
         for depth, (q, wq, _) in enumerate(self.assigned_reads):
-            if heads >> wq & 1 and tails >> q & 1:
-                mask |= 1 << depth
+            if not (heads >> wq & 1 and tails >> q & 1):
+                continue
+            admitted.append((depth, q, wq))
+            grown = reached >> wq & 1
+            while grown:
+                grown = False
+                for edge in admitted:
+                    if reached >> edge[2] & 1 and not reached >> edge[1] & 1:
+                        joined.append(edge)
+                        reached |= po_after[edge[1]] | 1 << edge[1]
+                        grown = True
+            if reached >> b & 1:
+                break
+        mask, target = 0, b
+        while not start >> target & 1:
+            for depth, q, wq in joined:
+                if (po_after[q] | 1 << q) >> target & 1:
+                    mask |= 1 << depth
+                    target = wq
+                    break
         return mask
+
+    def _incoherence(self, q: int, wq: int, between: int) -> int:
+        """Depths of the assigned reads, q's aside, whose rf edges make
+        paths w_q ->+ w2 ->+ q through one write w2 of `between`, the
+        shallowest such set (as a mask) over those writes."""
+        return min(self._path(wq, w2) | self._path(w2, q) for w2 in _bits(between))
 
     def _depths_of_location(self, var_mask: int) -> int:
         mask = 0
@@ -262,26 +312,32 @@ class _Search:
                     raise BudgetExceeded(
                         "max_rf_candidates", self.limits.max_rf_candidates
                     )
+                if self.prune_porf and enc.reach[r] >> w & 1:
+                    # r reaches w: the cycle runs r ->* w -> r, found
+                    # before the edge is added.  It rests on r, so it
+                    # never jumps past r.
+                    conflicts |= self._path(r, w)
+                    continue
                 reach_snap = list(enc.reach)
                 coreach_snap = list(enc.coreach)
                 if self.prune_relaxed:
                     mo_snap = list(enc.mo_reach), list(enc.mo_coreach)
-                sources, targets = _link(enc.reach, enc.coreach, 1 << w, 1 << r)
+                _, targets = _link(enc.reach, enc.coreach, 1 << w, 1 << r)
                 self.assigned_reads.append((r, w, var_mask))
                 # Every prune's conflict set holds the depth of at least
                 # one assigned read, so 0 means "not pruned".
                 conflict = 0
-                if self.prune_porf and sources >> r & 1:
-                    # r reaches w: the cycle runs r ->* w -> r, over po and
-                    # the rf edges between `targets` and `sources`.
-                    conflict = self._depths_between(targets, sources)
-                if not conflict and self.prune_weakrc:
-                    for q, wq, qmask in self.assigned_reads:
-                        if enc.reach[wq] & enc.coreach[q] & qmask:
-                            conflict = self._depths_between(
-                                enc.reach[wq] | (1 << wq), enc.coreach[q] | (1 << q)
-                            )
-                            break
+                if self.prune_weakrc:
+                    # Every node checks all assigned reads, so a violation
+                    # w_q ->+ w2 ->+ q runs through the new edge w -> r,
+                    # and r reached q before it: on w2 ->+ q, or on w_q ->+
+                    # w2 and then on w2 ->+ q.
+                    for q_depth, (q, wq, qmask) in enumerate(self.assigned_reads):
+                        if targets >> q & 1:
+                            between = enc.reach[wq] & enc.coreach[q] & qmask
+                            if between:
+                                conflict = 1 << q_depth | self._incoherence(q, wq, between)
+                                break
                 if not conflict and self.prune_relaxed and self._forces_mo_cycle(r, w, var_mask):
                     conflict = self._depths_of_location(var_mask)
                 if not conflict:
@@ -329,11 +385,11 @@ def _first_mo(
     reads the closure as is: the writes it has placed are always closed
     downward, so it picks the same write whether a remaining write must
     precede it directly or through others.  SRA needs
-    hb ∪ mo acyclic across locations: the forced edges join a copy of the
-    po ∪ rf closure, and each placed write gains edges to its location's
-    remaining writes.  A write no remaining write reaches keeps that graph
-    acyclic, so every order it has begun extends and the locations never
-    need revisiting.
+    hb ∪ mo acyclic across locations: the forced edges that hb lacks join
+    a copy of the po ∪ rf closure, and each placed write gains edges to
+    the remaining writes of its location that it does not reach yet.  A
+    write no remaining write reaches keeps that graph acyclic, so every
+    order it has begun extends and the locations never need revisiting.
     """
     sra = model is MemoryModel.SRA
     if sra or model is MemoryModel.RA:
@@ -346,8 +402,8 @@ def _first_mo(
         for mask in enc.var_write_mask.values():
             for w in _bits(mask):
                 before[w] &= mask & ~(1 << w)
-                if sra:
-                    _link(reach, coreach, before[w], 1 << w)
+                if sra and (heads := before[w] & ~coreach[w]):
+                    _link(reach, coreach, heads, 1 << w)
         if sra:
             before = coreach  # "must precede" now grows with the placed writes
     else:
@@ -366,8 +422,8 @@ def _first_mo(
                 return None
             remaining ^= 1 << w
             order.append(enc.events[w].id)
-            if sra:
-                _link(reach, coreach, 1 << w, remaining)
+            if sra and (tails := remaining & ~reach[w]):
+                _link(reach, coreach, 1 << w, tails)
         per_var[var] = order
     return ModificationOrder(per_var)
 

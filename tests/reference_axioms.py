@@ -233,7 +233,7 @@ def check_axiom(g, rf, mo, ax):
     if ax is Axiom.STRONG_WRITE_COHERENCE:
         adj = _successors(g, rf)
         for var in sorted(mo.per_var):
-            order = mo.order(var)
+            order = mo.per_var[var]
             for a, b in zip(order, order[1:]):
                 adj[a] = adj[a] + [(b, MO_EDGE)]
         return _find_cycle([ev.id for ev in g.events()], adj)
@@ -241,7 +241,7 @@ def check_axiom(g, rf, mo, ax):
     if ax is Axiom.WRITE_COHERENCE:
         pred = _predecessors(g, rf)
         for var in sorted(mo.per_var):
-            order = mo.order(var)
+            order = mo.per_var[var]
             for i, w1 in enumerate(order):
                 if i + 1 == len(order):
                     continue
@@ -257,7 +257,7 @@ def check_axiom(g, rf, mo, ax):
             if r.id not in rf.mapping:
                 continue
             w1 = rf.mapping[r.id]
-            order = mo.order(r.var)
+            order = mo.per_var[r.var]
             pos = order.index(w1)
             if pos + 1 == len(order):
                 continue
@@ -286,7 +286,7 @@ def check_axiom(g, rf, mo, ax):
 
     if ax is Axiom.RELAXED_WRITE_COHERENCE:
         for var in sorted(mo.per_var):
-            order = mo.order(var)
+            order = mo.per_var[var]
             for i, w1 in enumerate(order):
                 for w2 in order[i + 1 :]:
                     if w2.thread == w1.thread and w2.index < w1.index:
@@ -301,7 +301,7 @@ def check_axiom(g, rf, mo, ax):
             if r.id not in rf.mapping:
                 continue
             w1 = rf.mapping[r.id]
-            order = mo.order(r.var)
+            order = mo.per_var[r.var]
             pos = order.index(w1)
             for w2 in order[pos + 1 :]:
                 if w2.thread == r.id.thread and w2.index < r.id.index:

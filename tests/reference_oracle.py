@@ -26,6 +26,14 @@ differential tests can hold the backjumping search to the same leaves,
 the same first witness, the same `all_consistent_rfs` and the same
 budget exits, with no more nodes.
 
+`UnionMaskSearch` is the backjumping search before each prune blamed
+one path: a porf prune (r takes w while r reaches w) blames every
+assigned read whose rf edge can lie on some path r ->* w, and a
+weak-read-coherence prune at (q, w_q) every one whose edge can lie on
+some path w_q ->* q.  Each of its sets contains the library's, and the
+rest of the search is the library's: the differential tests hold the
+library to the same outcome and to no more nodes.
+
 `permutation_first_mo` is the mo synthesis that `racheck.oracle._first_mo`
 ran before it became a topological sort: a depth-first search over
 permutations of each location's writes (one joint search over all
@@ -253,6 +261,23 @@ class ChronologicalSearch(_Search):
 
         descend(0)
         return (witness[0] if witness else None), found
+
+
+class UnionMaskSearch(_Search):
+    def _depths_between(self, heads: int, tails: int) -> int:
+        """Depths of the assigned reads q whose edge w_q -> q can lie on a
+        po/rf path from `heads` to `tails`: w_q in `heads`, q in `tails`."""
+        mask = 0
+        for depth, (q, wq, _) in enumerate(self.assigned_reads):
+            if heads >> wq & 1 and tails >> q & 1:
+                mask |= 1 << depth
+        return mask
+
+    def _path(self, a: int, b: int) -> int:
+        return self._depths_between(self.enc.reach[a] | 1 << a, self.enc.coreach[b] | 1 << b)
+
+    def _incoherence(self, q: int, wq: int, between: int) -> int:
+        return self._path(wq, q)
 
 
 def permutation_first_mo(

@@ -160,3 +160,37 @@ def test_no_unread_private_definitions():
         )
     }
     assert unread == {}
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+# A reference that loses its last reader goes with it: every top-level
+# definition of `tests/reference_*.py` is read somewhere in `tests/`
+# outside its own body.
+def test_no_unread_reference_definitions():
+    tests = Path(__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(tests.glob("*.py"))}
+    reads = sum(map(_reads, trees.values()), Counter())
+    unread = {
+        name: defs
+        for name, tree in trees.items()
+        if name.startswith("reference_")
+        and (
+            defs := [
+                defined
+                for node in tree.body
+                for defined in _defined(node)
+                if reads[defined] == _reads(node)[defined]
+            ]
+        )
+    }
+    assert unread == {}

@@ -35,6 +35,7 @@ from racheck.solver import RF_TOTALITY
 import fixtures as fx
 from reference_oracle import (
     ChronologicalSearch,
+    UnionMaskSearch,
     enumerate_mos,
     enumerate_rfs,
     permutation_first_mo,
@@ -441,6 +442,12 @@ def test_backjumping_matches_chronological_search(case):
         # still decide.
         if ref != ("budget", "max_rf_candidates"):
             assert out == ref, stop_at_first
+        # Each prune blames one path where the reference blames every rf
+        # edge that can lie on some path: the same leaves, no more nodes.
+        union, union_search = _outcome(UnionMaskSearch, g, m, limits, stop_at_first)
+        assert search.rf_nodes <= union_search.rf_nodes
+        if union != ("budget", "max_rf_candidates"):
+            assert out == union, stop_at_first
 
 
 def test_oracle_cases_reach_budgets_and_backjumps():
@@ -463,21 +470,93 @@ def test_oracle_cases_reach_budgets_and_backjumps():
 
 def test_backjumping_decides_eight_pattern_formula():
     # The chronological search exhausts a 1,000,000-node budget on this
-    # gadget; backjumping proves it inconsistent in 64,892 nodes.
+    # gadget; backjumping proves it inconsistent in 8,247 nodes (64,892
+    # when each prune blamed every path).
     g = cnf_to_twowriter_relaxed(EIGHT_PATTERNS)
     search = _Search(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits(max_rf_candidates=200_000))
     assert search.run(True) == (None, [])
-    assert (search.rf_nodes, search.backjumps) == (64_892, 21_901)
+    assert (search.rf_nodes, search.backjumps) == (8_247, 3_150)
 
 
 def test_backjumps_counted_on_unsat_relaxed_gadget():
-    # 966 nodes and 251 backjumps against the reference's 13,725 nodes
+    # 577 nodes and 154 backjumps (966 and 251 when each prune blamed
+    # every path) against the chronological search's 13,725 nodes
     g = cnf_to_twowriter_relaxed(CnfFormula(2, tuple(sign_patterns(2, 1, 0))))
     search = _Search(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
     reference = ChronologicalSearch(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
     assert search.run(True) == reference.run(True) == (None, [])
-    assert (search.rf_nodes, search.backjumps) == (966, 251)
+    assert (search.rf_nodes, search.backjumps) == (577, 154)
     assert (reference.rf_nodes, reference.backjumps) == (13_725, 0)
+
+
+class _PruneRecorder(_Search):
+    """Records each porf and weak-read-coherence prune as (axiom, the rf
+    it blames on the numbering): the blamed edges, plus the candidate
+    edge r <- w for a porf prune."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.prunes = []
+        self._in_incoherence = False
+
+    def _blamed(self, mask, r, w):
+        src = [-1] * len(self.enc.events)
+        for depth in axioms._bits(mask):
+            q, wq, _ = self.assigned_reads[depth]
+            src[q] = wq
+        src[r] = w
+        return src
+
+    def _path(self, a, b):
+        mask = super()._path(a, b)
+        if not self._in_incoherence:  # the porf prune of read a taking write b
+            self.prunes.append((Axiom.PORF_ACYCLICITY, self._blamed(mask, a, b)))
+        return mask
+
+    def _incoherence(self, q, wq, between):
+        self._in_incoherence = True
+        mask = super()._incoherence(q, wq, between)
+        self._in_incoherence = False
+        self.prunes.append((Axiom.WEAK_READ_COHERENCE, self._blamed(mask, q, wq)))
+        return mask
+
+
+def _replay_prunes(g, m, limits):
+    """Run the search, check that every porf and weak-read-coherence
+    conflict set alone reproduces its failure, and return the axioms of
+    the prunes seen."""
+    search = _PruneRecorder(g, m, limits)
+    try:
+        search.run(True)
+    except BudgetExceeded:
+        pass  # the prunes made so far were recorded
+    for ax, src in search.prunes:
+        assert check_axiom(g, reads_from(g, src), None, ax) is not None, ax
+    return {ax for ax, _ in search.prunes}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+def test_conflict_sets_are_nogoods(case):
+    # The rf edges a prune blames, with no other edge, break its axiom.
+    _replay_prunes(*case)
+
+
+def test_conflict_set_cases_reach_both_prunes():
+    # the test above replays porf and weak-read-coherence prunes
+    cfg = settings(
+        max_examples=250, deadline=None, derandomize=True, database=None, phases=[Phase.generate]
+    )
+    for ax in (Axiom.PORF_ACYCLICITY, Axiom.WEAK_READ_COHERENCE):
+        find(oracle_cases(), lambda case: ax in _replay_prunes(*case), settings=cfg)
+
+
+def test_eight_pattern_conflict_sets_are_nogoods():
+    limits = OracleLimits(max_rf_candidates=200_000)
+    g = cnf_to_twowriter_relaxed(EIGHT_PATTERNS)
+    assert _replay_prunes(g, MemoryModel.RELAXED_ACYCLIC, limits) == {Axiom.PORF_ACYCLICITY}
+    g = cnf_to_twowriter(EIGHT_PATTERNS)
+    assert _replay_prunes(g, MemoryModel.RA, limits) == {Axiom.WEAK_READ_COHERENCE}
 
 
 def test_oracle_builds_one_reads_from_per_recorded_leaf(monkeypatch):
