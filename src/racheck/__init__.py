@@ -57,7 +57,6 @@ from .reductions import (
     graph_to_onewriter,
 )
 from .solver import (
-    NoMatchingWrite,
     NotOneWriter,
     SolverTrace,
     Violation,

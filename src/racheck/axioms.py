@@ -321,10 +321,6 @@ def _cycle_certificate(
     return normalize_cycle(steps)
 
 
-def porf_cycle(g: PartialExecutionGraph, rf: ReadsFrom) -> list[tuple[EventId, str]] | None:
-    return check_axiom(g, rf, None, Axiom.PORF_ACYCLICITY)
-
-
 # ---------------------------------------------------------------------------
 # Observed order (per-thread view coherence)
 # ---------------------------------------------------------------------------
@@ -659,30 +655,36 @@ def replay_certificate(
     """Re-check every labelled step of a certificate against the graph.
 
     Certificates are cyclic: the last event's edge leads back to the first.
-    Single-event certificates (a blocking read) have no edges to check.
-    rf may be partial: a read it leaves out has no rf edge.  A given mo
-    must be valid (ModelError).
+    A one-step certificate claims rf-totality fails: its step is rf^-1 on
+    a read that no write matches in location and value.  A step from or
+    to an event the graph lacks fails.  rf may be partial: a read it
+    leaves out has no rf edge.  A given mo must be valid (ModelError).
     """
-    if len(cert) <= 1:
-        return all(g.has_event(e) for e, _ in cert)
     num = g.numbering
+    nums = [num.index.get(e, -1) for e, _ in cert]  # -1: no such event
+    if len(cert) == 1:
+        if cert[0][1] != RF_INV_EDGE or nums[0] < 0:
+            return False
+        ev = num.events[nums[0]]
+        return ev.is_read and ev[2:] not in num.matches
     src = None if rf is None else number_rf(g, rf)
     rank = None if mo is None else number_mo(g, mo)[1]
-    nums = [num.index.get(e, -1) for e, _ in cert]  # -1: no such event
     ob_steps: list[tuple[int, int]] = []
     for (a, label), (b, _), x, y in zip(cert, cert[1:] + cert[:1], nums, nums[1:] + nums[:1]):
+        if min(x, y) < 0:
+            return False
         if label == PO_EDGE:
             ok = g.po(a, b)
         elif label in (RF_EDGE, RF_INV_EDGE):
             read, write = (y, x) if label == RF_EDGE else (x, y)
-            ok = src is not None and min(x, y) >= 0 and src[read] == write
+            ok = src is not None and src[read] == write
         elif label == MO_EDGE:  # two writes of one location, a first
-            ok = rank is not None and y >= 0 and num.events[y].var == g.event(a).var
+            ok = rank is not None and num.events[x].var == num.events[y].var
             ok = ok and 0 <= rank[x] < rank[y]
         elif label == HB_EDGE:
             ok = src is not None and _hb_reaches(g, src, a, b)
         else:
-            ok = label == OB_EDGE and src is not None and min(x, y) >= 0
+            ok = label == OB_EDGE and src is not None
             ob_steps.append((x, y))
         if not ok:
             return False

@@ -160,8 +160,8 @@ class Numbering:
     Built with the graph, in one pass over its events; only `ids`
     (`ids[i]` is `events[i].id`) and `matches` are built on first use,
     `matches[(var, val)]` being the writes, ascending, that a read of
-    `var` with value `val` may take.  Shared by every engine, so never
-    mutated.
+    `var` with value `val` may take.  `unmatched_read` states rf-totality
+    on it.  Shared by every engine, so never mutated.
     """
 
     def __init__(self, g: PartialExecutionGraph):
@@ -199,18 +199,26 @@ class Numbering:
                 out.setdefault((var, self.events[w].val), []).append(w)
         return out
 
+    def unmatched_read(self) -> EventId | None:
+        """The rf-totality rule, for both engines: the first read in id
+        order that no write matches in location and value, or None."""
+        matches, events = self.matches, self.events
+        return next((events[r].id for r in self.reads if events[r][2:] not in matches), None)
+
 
 def number_rf(g: PartialExecutionGraph, rf: ReadsFrom) -> list[int]:
     """rf on the graph's numbering: `src[i]` is the number of the write
     that read i takes, -1 for a write and for a read that rf leaves out.
-    Raises InvalidRf unless each source is a write of its read's location
-    and value."""
+    Raises InvalidRf unless each target is a read of the graph and each
+    source a write of its read's location and value."""
     num = g.numbering
     index, ids, events, writer = num.index, num.ids, num.events, rf.mapping.get
     src = [-1] * len(ids)
+    numbered = 0
     for r in num.reads:
         if (wid := writer(ids[r])) is None:
             continue
+        numbered += 1
         w = src[r] = index.get(wid, -1)
         if w < 0:
             raise InvalidRf(f"rf source {wid} does not exist")
@@ -218,7 +226,20 @@ def number_rf(g: PartialExecutionGraph, rf: ReadsFrom) -> list[int]:
             raise InvalidRf(f"rf source {wid} is not a write")
         if events[w][2:] != events[r][2:]:  # (var, val)
             raise InvalidRf(f"rf edge {wid} -> {ids[r]} mismatches on location or value")
+    if numbered < len(rf.mapping):  # some target is not a read
+        for rid in rf.mapping:
+            if (r := index.get(rid, -1)) < 0:
+                raise InvalidRf(f"rf target {rid} does not exist")
+            if events[r].op != READ:
+                raise InvalidRf(f"rf target {rid} is not a read")
     return src
+
+
+def reads_from(g: PartialExecutionGraph, src: list[int]) -> ReadsFrom:
+    """The ReadsFrom of an rf in `number_rf`'s form."""
+    num = g.numbering
+    ids = num.ids
+    return ReadsFrom({ids[r]: ids[src[r]] for r in num.reads if src[r] >= 0})
 
 
 def number_mo(

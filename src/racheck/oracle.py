@@ -82,6 +82,7 @@ from .model import (
     PartialExecutionGraph,
     ReadsFrom,
     Verdict,
+    reads_from,
 )
 from .solver import RF_TOTALITY
 
@@ -145,9 +146,10 @@ class _Encoding:
 class _Search:
     """The rf search of one graph under one model, set up for both entry
     points.  `max_events` is checked before the search builds anything,
-    the numbering's candidate table included.  `blocked` is the first read
-    in id order with no value-matching write, or None; the entry points
-    answer a graph with such a read without running the search.
+    the numbering's candidate table included.  `blocked` is the
+    numbering's unmatched read (`Numbering.unmatched_read`), or None; the
+    entry points answer a graph with such a read without running the
+    search.
     """
 
     def __init__(self, g: PartialExecutionGraph, m: MemoryModel, limits: OracleLimits):
@@ -156,16 +158,16 @@ class _Search:
         self.g = g
         self.model = m.canonical
         self.limits = limits
+        num = g.numbering
+        self.blocked = num.unmatched_read()
         # (read, its candidate writes) as event numbers, most-constrained
         # read first; candidates stay ascending, which is (thread, index)
-        # order.  Reads without candidates sort first, in id order.
-        num = g.numbering
+        # order.
         events, matches = num.events, num.matches
         self.order = sorted(
-            ((r, matches.get((events[r].var, events[r].val), ())) for r in num.reads),
+            ((r, matches.get(events[r][2:], ())) for r in num.reads),
             key=lambda rc: (len(rc[1]), rc[0]),
         )
-        self.blocked = num.ids[self.order[0][0]] if self.order and not self.order[0][1] else None
         self.enc = _Encoding(g)
         base = self.model
         relaxed = base in (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC)
@@ -287,8 +289,7 @@ class _Search:
                 mo = _first_mo(self.g, enc, src, self.model)
                 if mo is None:
                     return False
-            ids = self.g.numbering.ids
-            rf = ReadsFrom({ids[r]: ids[w] for r, w, _ in self.assigned_reads})
+            rf = reads_from(self.g, src)
             found.append(rf)
             if stop_at_first:
                 witness.append((rf, mo))

@@ -42,11 +42,13 @@ from .model import (
     EventId,
     MemoryModel,
     ModificationOrder,
+    Numbering,
     PartialExecutionGraph,
     ReadsFrom,
     Verdict,
     max_writers,
     normalize_cycle,
+    reads_from,
 )
 
 RF_TOTALITY = "rf-totality"
@@ -54,12 +56,6 @@ RF_TOTALITY = "rf-totality"
 
 class NotOneWriter(Exception):
     pass
-
-
-class NoMatchingWrite(Exception):
-    def __init__(self, read_id: EventId):
-        super().__init__(f"no matching write for read {read_id}")
-        self.read_id = read_id
 
 
 @dataclass(frozen=True)
@@ -111,61 +107,6 @@ def derive_mo(g: PartialExecutionGraph) -> ModificationOrder:
     )
 
 
-# ---------------------------------------------------------------------------
-# Internal integer-encoded state (hot path for large graphs)
-# ---------------------------------------------------------------------------
-
-
-class _State:
-    """rf over event numbers, which order a location's writes as po does."""
-
-    def __init__(self, g: PartialExecutionGraph):
-        num = g.numbering
-        self.events = num.events
-        self.thread_of = num.thread_of
-        self.thread_span = num.spans
-        self.var_writes = num.var_writes
-        self.matches = num.matches
-        self.reads = num.reads
-        self.rf: dict[int, int] = {}
-
-    def rf_relation(self) -> ReadsFrom:
-        return ReadsFrom(
-            {self.events[r].id: self.events[w].id for r, w in self.rf.items()}
-        )
-
-
-def _earliest_match(st: _State, r: int, start: int, allow_future: bool) -> int:
-    """The po-earliest write numbered >= start that read r can take, or -1.
-
-    Under the porf-mandating models a read in the writer thread may only
-    take writes strictly above itself: anything below closes a po/rf
-    cycle immediately, and by the upward cyclicity of the rf order such
-    a binding can never be part of an acyclic witness.  The pure relaxed
-    model has no such axiom, so there the whole thread qualifies.
-    """
-    ev = st.events[r]
-    writes = st.matches.get((ev.var, ev.val), ())
-    j = bisect_left(writes, start)
-    if j == len(writes):
-        return -1
-    w = writes[j]
-    if not allow_future and st.thread_of[w] == st.thread_of[r] and w >= r:
-        return -1
-    return w
-
-
-def _init_state(g: PartialExecutionGraph, allow_future: bool = False) -> _State:
-    """Bind every read to its po-earliest matching write."""
-    st = _State(g)
-    for r in st.reads:
-        w = _earliest_match(st, r, 0, allow_future)
-        if w < 0:
-            raise NoMatchingWrite(st.events[r].id)
-        st.rf[r] = w
-    return st
-
-
 def _blocked_certificate(v: Violation) -> list[tuple[EventId, str]]:
     steps = [(v.read, RF_INV_EDGE), (v.write, PO_EDGE)]
     if v.via_read is not None:
@@ -178,34 +119,44 @@ def _blocked_certificate(v: Violation) -> list[tuple[EventId, str]]:
 
 
 def _raise_read(
-    st: _State,
+    num: Numbering,
+    rf: list[int],
     r: int,
     lo: int,
     via: int,
     trace: SolverTrace,
     relaxed: bool,
 ) -> Verdict | None:
-    """Raise read r to the earliest matching write numbered >= lo, the
+    """Raise read r to the po-earliest matching write numbered >= lo, the
     lower bound exposed by write lo (-1 for none) through read `via` (-1
-    for hb or po).  Returns the coherence verdict when no such write exists."""
-    if lo <= st.rf[r]:
+    for hb or po).  Returns the coherence verdict when no such write exists.
+
+    Under the porf-mandating models a read in the writer thread may only
+    be raised to a write po-before itself: a po-later one closes a po/rf
+    cycle, and so does every write above it.  The pure relaxed model has
+    no such axiom, so there the whole thread qualifies.
+    """
+    if lo <= rf[r]:
         return None
+    events = num.events
     violation = Violation(
-        read=st.events[r].id,
-        write=st.events[st.rf[r]].id,
-        blocker=st.events[lo].id,
-        via_read=st.events[via].id if via >= 0 else None,
+        read=events[r].id,
+        write=events[rf[r]].id,
+        blocker=events[lo].id,
+        via_read=events[via].id if via >= 0 else None,
     )
-    w = _earliest_match(st, r, lo, allow_future=relaxed)
-    if w < 0:
+    writes = num.matches[events[r][2:]]  # (var, val); rf[r] is one of them
+    j = bisect_left(writes, lo)
+    w = writes[j] if j < len(writes) else -1
+    if w < 0 or not relaxed and w >= r and num.thread_of[w] == num.thread_of[r]:
         axiom = Axiom.RELAXED_READ_COHERENCE if relaxed else Axiom.WEAK_READ_COHERENCE
         return Verdict.inconsistent(axiom.value, _blocked_certificate(violation))
-    st.rf[r] = w
-    trace.iterations.append(SolverIteration(violation, st.events[w].id))
+    rf[r] = w
+    trace.iterations.append(SolverIteration(violation, events[w].id))
     return None
 
 
-def _relaxed_pass(st: _State, trace: SolverTrace) -> Verdict | None:
+def _relaxed_pass(num: Numbering, rf: list[int], trace: SolverTrace) -> Verdict | None:
     """Least relaxed-read-coherent rf, in one po-order pass per thread.
 
     With mo forced to po, a read must take a write at or above every
@@ -215,16 +166,16 @@ def _relaxed_pass(st: _State, trace: SolverTrace) -> Verdict | None:
     interact, so sorted-id order repeats the step loop's choice of first
     violation exactly.
     """
-    for start, end in st.thread_span:
+    for start, end in num.spans:
         best: dict[str, tuple[int, int]] = {}  # location -> (write, exposing read or -1)
         for e in range(start, end):
-            ev = st.events[e]
+            ev = num.events[e]
             if ev.is_read:
                 lo, via = best.get(ev.var, (-1, -1))
-                failure = _raise_read(st, e, lo, via, trace, relaxed=True)
+                failure = _raise_read(num, rf, e, lo, via, trace, relaxed=True)
                 if failure is not None:
                     return failure
-                exposed = (st.rf[e], e)
+                exposed = (rf[e], e)
             else:
                 exposed = (e, -1)
             if exposed[0] > best.get(ev.var, (-1, -1))[0]:
@@ -232,7 +183,7 @@ def _relaxed_pass(st: _State, trace: SolverTrace) -> Verdict | None:
     return None
 
 
-def _causal_pass(st: _State, trace: SolverTrace | None) -> Verdict | None:
+def _causal_pass(num: Numbering, rf: list[int], trace: SolverTrace | None) -> Verdict | None:
     """One topological pass over po and rf; None when it completes.
 
     With a trace (the weak family) each read is first raised to its least
@@ -242,8 +193,9 @@ def _causal_pass(st: _State, trace: SolverTrace | None) -> Verdict | None:
     never read.  Writes share their thread's clock list until the thread
     changes it.
     """
-    nthreads = len(st.thread_span)
-    cur = [start for start, _ in st.thread_span]
+    events, thread_of, spans = num.events, num.thread_of, num.spans
+    nthreads = len(spans)
+    cur = [start for start, _ in spans]
     clocks = [[0] * nthreads for _ in range(nthreads)]
     shared = [False] * nthreads
     write_clock: dict[int, list[int]] = {}
@@ -251,10 +203,10 @@ def _causal_pass(st: _State, trace: SolverTrace | None) -> Verdict | None:
     work = deque(range(nthreads))
     while work:
         t = work.popleft()
-        e, end = cur[t], st.thread_span[t][1]
+        e, end = cur[t], spans[t][1]
         clock = clocks[t]
         while e < end:
-            ev = st.events[e]
+            ev = events[e]
             if ev.is_write:
                 write_clock[e] = clock
                 shared[t] = True
@@ -262,20 +214,20 @@ def _causal_pass(st: _State, trace: SolverTrace | None) -> Verdict | None:
                 e += 1
                 continue
             if trace is not None:
-                writes = st.var_writes[ev.var]
-                u = st.thread_of[writes[0]]
-                before = e if u == t else st.thread_span[u][0] + clock[u]
+                writes = num.var_writes[ev.var]
+                u = thread_of[writes[0]]
+                before = e if u == t else spans[u][0] + clock[u]
                 j = bisect_left(writes, before)
                 lo = writes[j - 1] if j else -1
-                failure = _raise_read(st, e, lo, -1, trace, relaxed=False)
+                failure = _raise_read(num, rf, e, lo, -1, trace, relaxed=False)
                 if failure is not None:
                     return failure
-            w = st.rf[e]
-            u = st.thread_of[w]
+            w = rf[e]
+            u = thread_of[w]
             if w >= (e if u == t else cur[u]):
                 waiters.setdefault(w, []).append(t)
                 break
-            seen = w - st.thread_span[u][0] + 1
+            seen = w - spans[u][0] + 1
             if u != t and clock[u] < seen:
                 if shared[t]:
                     clock = clocks[t] = list(clock)
@@ -286,31 +238,32 @@ def _causal_pass(st: _State, trace: SolverTrace | None) -> Verdict | None:
                 clock[u] = seen
             e += 1
         cur[t] = e
-    stuck = [t for t, (_, end) in enumerate(st.thread_span) if cur[t] < end]
+    stuck = [t for t, (_, end) in enumerate(spans) if cur[t] < end]
     if not stuck:
         return None
-    return Verdict.inconsistent(Axiom.PORF_ACYCLICITY.value, _wait_cycle(st, cur, stuck[0]))
+    return Verdict.inconsistent(Axiom.PORF_ACYCLICITY.value, _wait_cycle(num, rf, cur, stuck[0]))
 
 
-def _wait_cycle(st: _State, cur: list[int], t: int) -> list[tuple[EventId, str]]:
+def _wait_cycle(num: Numbering, rf: list[int], cur: list[int], t: int) -> list[tuple[EventId, str]]:
     """The po/rf cycle closed by the threads' waits, from stuck thread t.
 
     A stuck thread waits at a read for a write of a stuck thread (itself,
-    when a relaxed read takes a po-later write) that sits po-after that
-    thread's own stuck read, so following the waits must revisit a thread.
+    when the read takes a po-later write of its own thread) that sits
+    po-after that thread's own stuck read, so following the waits must
+    revisit a thread.
     """
     chain: list[int] = []
     at: dict[int, int] = {}
     while t not in at:
         at[t] = len(chain)
         chain.append(t)
-        t = st.thread_of[st.rf[cur[t]]]
+        t = num.thread_of[rf[cur[t]]]
     chain = chain[at[t]:]
     steps: list[tuple[EventId, str]] = []
     for i in reversed(range(len(chain))):
         waiting, owner = chain[i], chain[(i + 1) % len(chain)]
-        steps.append((st.events[cur[owner]].id, PO_EDGE))
-        steps.append((st.events[st.rf[cur[waiting]]].id, RF_EDGE))
+        steps.append((num.events[cur[owner]].id, PO_EDGE))
+        steps.append((num.events[rf[cur[waiting]]].id, RF_EDGE))
     return normalize_cycle(steps)
 
 
@@ -323,26 +276,29 @@ def solve(
     Returns the verdict plus the trace of raised reads.  A Consistent
     verdict carries the pointwise least coherent rf and the forced mo.
     The relaxed models use the relaxed coherence pattern and skip the
-    causality test unless the acyclic variant is asked for.
+    causality test unless the acyclic variant is asked for.  rf-totality
+    fails on the numbering's unmatched read, as in the oracle; every
+    other read starts at its po-earliest matching write.
     """
     _require_one_writer(g)
     base = m.canonical
     relaxed = base in (MemoryModel.RELAXED, MemoryModel.RELAXED_ACYCLIC)
     trace = SolverTrace()
+    num = g.numbering
+    blocked = num.unmatched_read()
+    if blocked is not None:
+        return Verdict.inconsistent(RF_TOTALITY, [(blocked, RF_INV_EDGE)]), trace
 
-    try:
-        st = _init_state(g, allow_future=relaxed)
-    except NoMatchingWrite as exc:
-        cert = [(exc.read_id, RF_INV_EDGE)]
-        return Verdict.inconsistent(RF_TOTALITY, cert), trace
-
+    rf = [-1] * len(num.events)  # `number_rf`'s form
+    for r in num.reads:
+        rf[r] = num.matches[num.events[r][2:]][0]
     if relaxed:
-        failure = _relaxed_pass(st, trace)
+        failure = _relaxed_pass(num, rf, trace)
         if failure is None and base is MemoryModel.RELAXED_ACYCLIC:
-            failure = _causal_pass(st, None)
+            failure = _causal_pass(num, rf, None)
     else:
-        failure = _causal_pass(st, trace)
-    trace.final_rf = st.rf_relation()
+        failure = _causal_pass(num, rf, trace)
+    trace.final_rf = reads_from(g, rf)
     if failure is not None:
         return failure, trace
     return Verdict.consistent(trace.final_rf, derive_mo(g)), trace

@@ -7,8 +7,9 @@ location's writes, the table that `Numbering.matches` replaces.
 each read's value-matching writes and of each location's write orders.
 The tests verify every (rf, mo) pair they stream to decide consistency
 with no search at all.  `unmatched_read` is the first read in id order
-with no value-matching write, which both entry points report for
-rf-totality before any search.
+with no value-matching write, by that scan: the reference for
+`Numbering.unmatched_read`, which both engines report for rf-totality
+before any search.
 
 `ChronologicalSearch` is the search that `racheck.oracle._Search.run` ran
 before it learned conflict-directed backjumping: a failed candidate only
@@ -85,13 +86,6 @@ def read_candidates(g: PartialExecutionGraph) -> list[tuple[Event, list[EventId]
 
 def unmatched_read(g: PartialExecutionGraph) -> EventId | None:
     return next((r.id for r, matches in read_candidates(g) if not matches), None)
-
-
-def reads_from(g: PartialExecutionGraph, src: list[int]) -> ReadsFrom:
-    """The ReadsFrom of an rf on the numbering, as `number_rf` gives it
-    and the oracle's leaves pass it on."""
-    ids = g.numbering.ids
-    return ReadsFrom({ids[r]: ids[w] for r, w in enumerate(src) if w >= 0})
 
 
 def enumerate_rfs(g: PartialExecutionGraph, limits: OracleLimits = DEFAULT_LIMITS):

@@ -40,7 +40,7 @@ from racheck import (
     solve,
     verify,
 )
-from racheck.axioms import Axiom, check_axiom, porf_cycle, replay_certificate
+from racheck.axioms import Axiom, check_axiom, replay_certificate
 from racheck.cli import main
 from racheck.harness import FuzzParams, differential_run
 from racheck.traceio import TraceDocument, parse_trace, serialize_trace
@@ -377,7 +377,10 @@ def test_criterion_09_rf_order_properties():
             if not rfs:
                 continue
             mo = derive_mo(g)
-            cyclic = {i: porf_cycle(g, rf) is not None for i, rf in enumerate(rfs)}
+            cyclic = {
+                i: check_axiom(g, rf, None, Axiom.PORF_ACYCLICITY) is not None
+                for i, rf in enumerate(rfs)
+            }
             weak_ok = {
                 i: check_axiom(g, rf, None, Axiom.WEAK_READ_COHERENCE) is None
                 for i, rf in enumerate(rfs)

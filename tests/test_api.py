@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "MissingMo",
     "ModelError",
     "ModificationOrder",
-    "NoMatchingWrite",
     "NotOneWriter",
     "NotThreeCnf",
     "ObRelation",
@@ -139,9 +138,9 @@ def _reads(node: ast.AST) -> Counter:
     return names
 
 
-# A private helper that loses its last caller goes with it: every private
-# module-level function or class is read somewhere in `src/racheck` outside
-# its own body.
+# A helper that loses its last caller goes with it: every module-level
+# function or class that `racheck` does not export, private or public, is
+# read somewhere in `src/racheck` outside its own body.
 def test_no_unread_private_definitions():
     src = Path(racheck.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
@@ -154,7 +153,7 @@ def test_no_unread_private_definitions():
                 node.name
                 for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
+                and node.name not in racheck.__all__
                 and reads[node.name] == _reads(node)[node.name]
             ]
         )

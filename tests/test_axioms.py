@@ -26,9 +26,18 @@ from racheck import (
     verify,
 )
 from racheck import axioms
-from racheck.axioms import Axiom, EmptyThread, check_axiom, porf_cycle
+from racheck.axioms import Axiom, EmptyThread, check_axiom
 from racheck.harness import FuzzParams
-from racheck.model import MO_EDGE, PO_EDGE, RF_EDGE, RF_INV_EDGE, number_mo, number_rf
+from racheck.model import (
+    HB_EDGE,
+    MO_EDGE,
+    OB_EDGE,
+    PO_EDGE,
+    RF_EDGE,
+    RF_INV_EDGE,
+    number_mo,
+    number_rf,
+)
 
 import fixtures as fx
 import reference_axioms as ref
@@ -144,8 +153,7 @@ def test_weak_read_coherence_violation():
     cert = check_axiom(g, rf, None, Axiom.WEAK_READ_COHERENCE)
     assert cert is not None
     assert replay_certificate(g, cert, rf)
-    with pytest.raises(UnknownEvent):
-        replay_certificate(g, [(cert[0][0], "hb"), (E("zz", 0), "hb")], rf)
+    assert not replay_certificate(g, [(cert[0][0], "hb"), (E("zz", 0), "hb")], rf)
 
 
 def test_strong_but_not_plain_write_coherence():
@@ -201,26 +209,67 @@ def test_given_mo_is_validated_by_every_check():
 
 def test_invalid_rf_edges_are_rejected_at_entry():
     # every entry point numbers its rf first, and the numbering checks each
-    # rf edge it numbers, so a partial rf is checked edge by edge
+    # rf edge, so a partial rf is checked edge by edge; `verify` checks
+    # rf's domain before that
     g = build_graph([("t1", [("w", "x", 1), ("w", "y", 1), ("r", "x", 1)])])
     mo = ModificationOrder({"x": [E("t1", 0)], "y": [E("t1", 1)]})
+    read = E("t1", 2)
     cases = {
-        E("zz", 0): "rf source zz:0 does not exist",
-        E("t1", 2): "rf source t1:2 is not a write",
-        E("t1", 1): "rf edge t1:1 -> t1:2 mismatches on location or value",
+        (read, E("zz", 0)): "rf source zz:0 does not exist",
+        (read, E("t1", 2)): "rf source t1:2 is not a write",
+        (read, E("t1", 1)): "rf edge t1:1 -> t1:2 mismatches on location or value",
+        (E("zz", 0), E("t1", 0)): "rf target zz:0 does not exist",
+        (E("t1", 1), E("t1", 0)): "rf target t1:1 is not a read",
     }
-    for source, message in cases.items():
-        rf = ReadsFrom({E("t1", 2): source})
+    for (target, source), message in cases.items():
+        rf = ReadsFrom({target: source})
         calls = [lambda ax=ax: check_axiom(g, rf, mo, ax) for ax in Axiom] + [
             lambda: hb_reaches(g, rf, E("t1", 0), E("t1", 1)),
             lambda: compute_ob(g, rf, "t1"),
             lambda: replay_certificate(g, [(E("t1", 0), "hb"), (E("t1", 1), "hb")], rf),
-            lambda: verify(g, rf, mo, MemoryModel.SRA),
         ]
         for call in calls:
             with pytest.raises(InvalidRf) as err:
                 call()
             assert str(err.value) == message
+        if target != read:
+            message = f"rf domain mismatch: missing={[read]} extra={[target]}"
+        with pytest.raises(InvalidRf) as err:
+            verify(g, rf, mo, MemoryModel.SRA)
+        assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Certificate replay: every claim a certificate makes is checked
+# ---------------------------------------------------------------------------
+
+REPLAY_LABELS = (PO_EDGE, RF_EDGE, RF_INV_EDGE, MO_EDGE, HB_EDGE, OB_EDGE)
+
+
+def test_replay_fails_on_unknown_events():
+    g = build_graph([("t1", [("w", "x", 1), ("r", "x", 1)]), ("t2", [("w", "x", 2)])])
+    rf = ReadsFrom({E("t1", 1): E("t1", 0)})
+    mo = ModificationOrder({"x": [E("t1", 0), E("t2", 0)]})
+    unknown = E("zz", 0)
+    for known in (E("t1", 0), E("t1", 1)):
+        for label in REPLAY_LABELS:
+            # the first step runs from the unknown event, then to it
+            for cert in ([(unknown, label), (known, label)], [(known, label), (unknown, label)]):
+                assert not replay_certificate(g, cert, rf, mo), cert
+
+
+def test_replay_checks_one_step_certificates():
+    # a one-step certificate claims rf-totality: rf^-1 on a read that no
+    # write matches in location and value
+    g = build_graph([("t1", [("w", "x", 1), ("r", "x", 1), ("r", "x", 2)])])
+    unmatched, matched, write = E("t1", 2), E("t1", 1), E("t1", 0)
+    assert replay_certificate(g, [(unmatched, RF_INV_EDGE)])
+    assert not replay_certificate(g, [(matched, RF_INV_EDGE)])
+    assert not replay_certificate(g, [(write, RF_INV_EDGE)])
+    assert not replay_certificate(g, [(E("zz", 0), RF_INV_EDGE)])
+    for label in REPLAY_LABELS:
+        if label != RF_INV_EDGE:
+            assert not replay_certificate(g, [(unmatched, label)]), label
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +680,18 @@ def test_multiwriter_cases_reach_cycles():
     cfg = settings(
         max_examples=300, derandomize=True, database=None, phases=[Phase.generate]
     )
-    find(multiwriter_cases(), lambda c: porf_cycle(c[0], c[1]) is not None, settings=cfg)
+    def porf_cyclic(c):
+        return check_axiom(c[0], c[1], None, Axiom.PORF_ACYCLICITY) is not None
+
+    find(multiwriter_cases(), porf_cyclic, settings=cfg)
     find(
         multiwriter_cases(),
-        lambda c: porf_cycle(c[0], c[1]) is None
-        and check_axiom(*c, Axiom.STRONG_WRITE_COHERENCE) is not None,
+        lambda c: not porf_cyclic(c) and check_axiom(*c, Axiom.STRONG_WRITE_COHERENCE) is not None,
         settings=cfg,
     )
     find(
         multiwriter_cases(),
-        lambda c: porf_cycle(c[0], c[1]) is None
+        lambda c: not porf_cyclic(c)
         and check_axiom(c[0], c[1], None, Axiom.OB_ACYCLICITY) is not None,
         settings=cfg,
     )

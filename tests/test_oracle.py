@@ -28,6 +28,7 @@ from racheck import (
 from racheck import axioms, oracle
 from racheck.axioms import Axiom, check_axiom, model_needs_mo, replay_certificate
 from racheck.harness import FuzzParams
+from racheck.model import reads_from
 from racheck.oracle import EXHAUSTED, _Search
 from racheck.reductions import CnfFormula
 from racheck.solver import RF_TOTALITY
@@ -40,7 +41,6 @@ from reference_oracle import (
     enumerate_rfs,
     permutation_first_mo,
     read_candidates,
-    reads_from,
     unmatched_read,
 )
 
@@ -563,18 +563,18 @@ def test_oracle_builds_one_reads_from_per_recorded_leaf(monkeypatch):
     # a leaf checks the rf on the numbering and builds a ReadsFrom only for
     # the witness it records, not for a leaf whose mo synthesis fails
     built, failed = [], []
-    reads_from_type, first_mo = oracle.ReadsFrom, oracle._first_mo
+    first_mo = oracle._first_mo
 
     def counted_reads_from(*args):
         built.append(args)
-        return reads_from_type(*args)
+        return reads_from(*args)
 
     def counted_first_mo(*args):
         mo = first_mo(*args)
         failed.append(mo is None)
         return mo
 
-    monkeypatch.setattr(oracle, "ReadsFrom", counted_reads_from)
+    monkeypatch.setattr(oracle, "reads_from", counted_reads_from)
     monkeypatch.setattr(oracle, "_first_mo", counted_first_mo)
     g = fx.crossed_reads()
     rfs = all_consistent_rfs(g, MemoryModel.SRA)

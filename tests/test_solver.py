@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from racheck import (
     EventId,
     MemoryModel,
-    NoMatchingWrite,
     NotOneWriter,
     ReadsFrom,
     all_consistent_rfs,
@@ -24,7 +23,14 @@ from racheck.harness import FuzzParams
 from racheck.solver import RF_TOTALITY, Violation
 
 import fixtures as fx
-from reference_solver import NoLaterWrite, initialize_rf, next_violation, update_rf
+from reference_oracle import unmatched_read
+from reference_solver import (
+    NoLaterWrite,
+    NoMatchingWrite,
+    initialize_rf,
+    next_violation,
+    update_rf,
+)
 
 E = EventId
 ALL_MODELS = list(MemoryModel)
@@ -83,13 +89,19 @@ def test_initialize_rf_unmatched_read():
         initialize_rf(g)
 
 
-def test_initialize_rf_same_thread_needs_earlier_write():
+def test_solve_read_of_own_later_write_closes_porf_cycle():
+    # t1:1 matches t1:0, so rf-totality holds; taking it closes a po/rf
+    # cycle, which every porf-mandating model reports, and pure rlx allows
     g = build_graph([("t1", [("r", "x", 1), ("w", "x", 1)])])
-    with pytest.raises(NoMatchingWrite):
-        initialize_rf(g)
-    # relaxed mode may take the later write
-    rf = initialize_rf(g, mode=Axiom.RELAXED_READ_COHERENCE)
-    assert rf == ReadsFrom({E("t1", 0): E("t1", 1)})
+    assert initialize_rf(g) == ReadsFrom({E("t1", 0): E("t1", 1)})
+    cycle = [(E("t1", 0), "po"), (E("t1", 1), "rf")]
+    for m in ALL_MODELS:
+        verdict, trace = solve(g, m)
+        if m is MemoryModel.RELAXED:
+            assert verdict.is_consistent
+            continue
+        assert (verdict.axiom, verdict.certificate) == (Axiom.PORF_ACYCLICITY.value, cycle), m
+        assert replay_certificate(g, verdict.certificate, trace.final_rf), m
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +304,7 @@ def repair_loop(g, m: MemoryModel) -> tuple[str | None, ReadsFrom | None]:
     left, then test causality.  Returns (failed axiom or None, final rf)."""
     mode = _coherence_mode(m)
     try:
-        rf = initialize_rf(g, mode)
+        rf = initialize_rf(g)
     except NoMatchingWrite:
         return RF_TOTALITY, None
     while (violation := next_violation(g, rf, mode)) is not None:
@@ -306,12 +318,14 @@ def repair_loop(g, m: MemoryModel) -> tuple[str | None, ReadsFrom | None]:
 
 
 @st.composite
-def single_writer_graphs(draw):
+def single_writer_graphs(draw, own_later=False):
     """2-4 threads over 1-3 locations, each location with one writer thread.
 
     Reads take values that some write can supply: a written value of their
     location, and in the writer thread one written po-before the read (a
-    read with no such location stays, and has no matching write).
+    read with no such location stays, and has no matching write).  With
+    `own_later` a read in the writer thread may take any value its thread
+    writes there, so some reads match only writes po-after them.
     """
     num_threads = draw(st.integers(2, 4))
     num_locations = draw(st.integers(1, 3))
@@ -332,17 +346,18 @@ def single_writer_graphs(draw):
                 own.setdefault(x, []).append(v)
                 events.append(("w", f"x{x}", v))
                 continue
-            readable = sorted(y for y in written if writer[y] != t or y in own)
+            readable = sorted(y for y in written if own_later or writer[y] != t or y in own)
             if readable and x not in readable:
                 x = readable[x % len(readable)]
-            values = sorted(set(own[x] if writer[x] == t and x in own else written.get(x, [v])))
+            before = not own_later and writer[x] == t and x in own
+            values = sorted(set(own[x] if before else written.get(x, [v])))
             events.append(("r", f"x{x}", values[v % len(values)]))
         threads.append((f"t{t}", events))
     return build_graph(threads)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(single_writer_graphs())
+@given(st.one_of(single_writer_graphs(), single_writer_graphs(own_later=True)))
 def test_solve_matches_repair_loop(g):
     for m in CANONICAL_MODELS:
         verdict, trace = solve(g, m)
@@ -361,11 +376,49 @@ def test_solve_matches_repair_loop(g):
         if axiom == RF_TOTALITY:
             continue
         assert replay_certificate(g, verdict.certificate, trace.final_rf, derive_mo(g)), m
-        rf = initialize_rf(g, _coherence_mode(m))
+        rf = initialize_rf(g)
         for it in trace.iterations:
             rf = update_rf(g, rf, it.violation, _coherence_mode(m))
             assert rf.mapping[it.violation.read] == it.replacement
         assert rf == trace.final_rf
+
+
+def _matches_only_own_later(g) -> bool:
+    """Some read matches only writes po-after it in its own thread."""
+    return any(
+        (matches := [w for w in g.writes_by_var.get(r.var, ()) if w.val == r.val])
+        and all(g.po(r.id, w.id) for w in matches)
+        for r in g.reads
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(single_writer_graphs(own_later=True))
+def test_rf_totality_agrees_with_oracle(g):
+    # Both engines fail rf-totality on the first read in id order that no
+    # write matches, whatever thread its matches sit in: a read that only
+    # a po-later write of its own thread matches is not such a read.
+    blocked = unmatched_read(g)
+    for m in CANONICAL_MODELS:
+        verdict, _ = solve(g, m)
+        oracle = oracle_consistent(g, m)
+        assert (verdict.axiom == RF_TOTALITY) == (oracle.axiom == RF_TOTALITY), m
+        assert (verdict.axiom == RF_TOTALITY) == (blocked is not None), m
+        if blocked is not None:
+            assert verdict.certificate == oracle.certificate == [(blocked, "rf^-1")], m
+            assert replay_certificate(g, verdict.certificate), m
+
+
+def test_single_writer_graphs_reach_own_later_reads():
+    # the test above sees such reads on graphs where rf-totality holds
+    cfg = settings(max_examples=200, derandomize=True, database=None, phases=[Phase.generate])
+    g = find(
+        single_writer_graphs(own_later=True),
+        lambda g: _matches_only_own_later(g) and unmatched_read(g) is None,
+        settings=cfg,
+    )
+    verdict, _ = solve(g, MemoryModel.WRA)
+    assert not verdict.is_consistent and verdict.axiom != RF_TOTALITY
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
