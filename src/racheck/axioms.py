@@ -655,7 +655,8 @@ def replay_certificate(
     """Re-check every labelled step of a certificate against the graph.
 
     Certificates are cyclic: the last event's edge leads back to the first.
-    A one-step certificate claims rf-totality fails: its step is rf^-1 on
+    An empty certificate makes no claim, so it fails.  A one-step
+    certificate claims rf-totality fails: its step is rf^-1 on
     a read that no write matches in location and value.  A step from or
     to an event the graph lacks fails.  rf may be partial: a read it
     leaves out has no rf edge.  A given mo must be valid (ModelError).
@@ -691,4 +692,4 @@ def replay_certificate(
     if ob_steps:
         orders = _thread_orders(g, src, _hb_index(g, src))
         return any(all(ob.rows.get(x, 0) >> y & 1 for x, y in ob_steps) for ob in orders)
-    return True
+    return bool(cert)

@@ -326,11 +326,6 @@ class ReadsFrom:
             missing, extra = sorted(expected - given), sorted(given - expected)
             raise InvalidRf(f"rf domain mismatch: missing={missing} extra={extra}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReadsFrom):
-            return NotImplemented
-        return self.mapping == other.mapping
-
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.mapping.items())))
 
@@ -354,11 +349,6 @@ class ModificationOrder:
 
     def covers(self, g: PartialExecutionGraph) -> bool:
         return all(var in self.per_var for var in g.writes_by_var)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModificationOrder):
-            return NotImplemented
-        return self.per_var == other.per_var
 
     def __repr__(self) -> str:
         inner = "; ".join(

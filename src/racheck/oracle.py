@@ -46,31 +46,35 @@ as one path allows.
 A read that runs out of candidates returns the union of its conflict
 sets minus itself, and a read whose depth is not in a returned set
 undoes its assignment and passes the set up without trying its other
-candidates.  While enumerating (`all_consistent_rfs`) a recorded leaf
-also blames every depth.  So only subtrees without leaves are skipped:
-the search reaches the same leaves in the same order as a chronological
-one and returns the same first witness (rf, and the first mo of
-`_first_mo` for that rf).
+candidates.  The search is one generator, `_Search.leaves`, that yields
+each accepted leaf (rf, and the first mo of `_first_mo` for that rf) in
+search order; a failed leaf, and a leaf that the caller resumes after it
+was yielded, blame every depth.  So only subtrees without leaves are
+skipped: the search reaches the same leaves in the same order as a
+chronological one.  `oracle_consistent` takes the first leaf as its
+witness and `all_consistent_rfs` the rf of every leaf.
 
 At a leaf rf is fixed, and every mo axiom then only forces some write of
 a location before another, so `_first_mo` builds the lexicographically
 first valid mo as a topological sort in polynomial time.
 
 Budgets (`OracleLimits`): `max_events` bounds the input and is checked
-before anything else is built; `max_rf_candidates` counts the candidates
-tried (search nodes, `_Search.rf_nodes`).  Exceeding either raises
-`BudgetExceeded`.  mo synthesis needs no budget.
+before anything else is built, rf-totality next (`_gate`);
+`max_rf_candidates` counts the candidates tried (search nodes,
+`_Search.rf_nodes`).  Exceeding either raises `BudgetExceeded`.  mo
+synthesis needs no budget.
 
 Happens-before and the relaxed forced order are maintained incrementally
 as per-event reachability bitmasks over the graph's shared numbering,
 snapshotted per search node.  At a leaf the hb masks are the po ∪ rf
 closure of a porf-acyclic graph: CM's ob check reads them as its index.
 The leaf hands its rf, on the numbering, to that check and `_first_mo`,
-and builds a `ReadsFrom` only for a leaf that it records.
+and builds a `ReadsFrom` only for a leaf that it yields.
 """
 
 from __future__ import annotations
 
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 
 from .axioms import Axiom, _bits, _check_axiom, _HbIndex, _link, model_needs_mo
@@ -87,6 +91,8 @@ from .model import (
 from .solver import RF_TOTALITY
 
 EXHAUSTED = "exhausted"
+
+_Leaf = tuple[ReadsFrom, ModificationOrder | None]  # an accepted leaf: rf, its first mo
 
 
 class BudgetExceeded(Exception):
@@ -143,23 +149,24 @@ class _Encoding:
                 self.mo_coreach[w] = self.coreach[w] & mask
 
 
+def _gate(g: PartialExecutionGraph, limits: OracleLimits) -> EventId | None:
+    """The gates both entry points answer before any search setup:
+    `max_events` first, before the numbering's candidate table is built,
+    then rf-totality (`Numbering.unmatched_read`)."""
+    if g.num_events > limits.max_events:
+        raise BudgetExceeded("max_events", limits.max_events)
+    return g.numbering.unmatched_read()
+
+
 class _Search:
-    """The rf search of one graph under one model, set up for both entry
-    points.  `max_events` is checked before the search builds anything,
-    the numbering's candidate table included.  `blocked` is the
-    numbering's unmatched read (`Numbering.unmatched_read`), or None; the
-    entry points answer a graph with such a read without running the
-    search.
-    """
+    """The rf search of one graph under one model, for a graph that has
+    passed `_gate`."""
 
     def __init__(self, g: PartialExecutionGraph, m: MemoryModel, limits: OracleLimits):
-        if g.num_events > limits.max_events:
-            raise BudgetExceeded("max_events", limits.max_events)
         self.g = g
         self.model = m.canonical
         self.limits = limits
         num = g.numbering
-        self.blocked = num.unmatched_read()
         # (read, its candidate writes) as event numbers, most-constrained
         # read first; candidates stay ascending, which is (thread, index)
         # order.
@@ -267,16 +274,13 @@ class _Search:
 
     # -- search -----------------------------------------------------------
 
-    def run(self, stop_at_first: bool) -> tuple[
-        tuple[ReadsFrom, ModificationOrder | None] | None, list[ReadsFrom]
-    ]:
-        witness: list[tuple[ReadsFrom, ModificationOrder | None]] = []
-        found: list[ReadsFrom] = []
-
+    def leaves(self) -> Iterator[_Leaf]:
+        """Each accepted leaf, in search order; mo is None when the model
+        reads none."""
         enc = self.enc
         every_depth = (1 << len(self.order)) - 1
 
-        def leaf() -> bool:
+        def leaf() -> _Leaf | None:
             src = [-1] * len(enc.events)  # `number_rf`'s form
             for r, w, _ in self.assigned_reads:
                 src[r] = w
@@ -284,25 +288,24 @@ class _Search:
             if self.check_ob:
                 hb = _HbIndex(enc.reach, enc.coreach)
                 if _check_axiom(self.g, src, None, Axiom.OB_ACYCLICITY, hb) is not None:
-                    return False
+                    return None
             if model_needs_mo(self.model):
                 mo = _first_mo(self.g, enc, src, self.model)
                 if mo is None:
-                    return False
-            rf = reads_from(self.g, src)
-            found.append(rf)
-            if stop_at_first:
-                witness.append((rf, mo))
-                return True
-            return False
+                    return None
+            return reads_from(self.g, src), mo
 
-        def descend(depth: int) -> tuple[bool, int]:
-            """(found, conflict set): on failure, the mask of the shallower
-            depths whose assignments alone leave this subtree without a leaf."""
+        def descend(depth: int) -> Generator[_Leaf, None, int]:
+            """Yield the leaves below; return the conflict set, the mask of
+            the shallower depths whose assignments alone leave this subtree
+            without a further leaf."""
             if depth == len(self.order):
-                # A failed leaf, and a leaf recorded while enumerating,
+                # A failed leaf, and a leaf resumed after it was yielded,
                 # blame every depth: the search backtracks chronologically.
-                return leaf(), every_depth
+                found = leaf()
+                if found is not None:
+                    yield found
+                return every_depth
             r, matches = self.order[depth]
             var_mask = enc.var_write_mask[enc.events[r].var]
             me = 1 << depth
@@ -342,9 +345,7 @@ class _Search:
                 if not conflict and self.prune_relaxed and self._forces_mo_cycle(r, w, var_mask):
                     conflict = self._depths_of_location(var_mask)
                 if not conflict:
-                    done, conflict = descend(depth + 1)
-                    if done:
-                        return True, 0
+                    conflict = yield from descend(depth + 1)
                 # undo
                 self.assigned_reads.pop()
                 enc.reach = reach_snap
@@ -356,12 +357,11 @@ class _Search:
                     # candidate can help, so jump back past it
                     if k + 1 < len(matches):
                         self.backjumps += 1
-                    return False, conflict
+                    return conflict
                 conflicts |= conflict
-            return False, conflicts & ~me
+            return conflicts & ~me
 
-        descend(0)
-        return (witness[0] if witness else None), found
+        yield from descend(0)
 
 
 def _first_mo(
@@ -442,14 +442,13 @@ def oracle_consistent(
     except for a read with no matching write anywhere, which is reported
     directly.
     """
-    search = _Search(g, m, limits)
-    if search.blocked is not None:
-        return Verdict.inconsistent(RF_TOTALITY, [(search.blocked, RF_INV_EDGE)])
-    witness, _ = search.run(stop_at_first=True)
+    blocked = _gate(g, limits)
+    if blocked is not None:
+        return Verdict.inconsistent(RF_TOTALITY, [(blocked, RF_INV_EDGE)])
+    witness = next(_Search(g, m, limits).leaves(), None)
     if witness is None:
         return Verdict.inconsistent(EXHAUSTED, None)
-    rf, mo = witness
-    return Verdict.consistent(rf, mo)
+    return Verdict.consistent(*witness)
 
 
 def all_consistent_rfs(
@@ -458,8 +457,7 @@ def all_consistent_rfs(
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> list[ReadsFrom]:
     """Every rf for which some mo satisfies the model, canonically sorted."""
-    search = _Search(g, m, limits)
-    if search.blocked is not None:
+    if _gate(g, limits) is not None:
         return []
-    _, found = search.run(stop_at_first=False)
-    return sorted(found, key=lambda rf: tuple(sorted(rf.mapping.items())))
+    rfs = [rf for rf, _ in _Search(g, m, limits).leaves()]
+    return sorted(rfs, key=lambda rf: tuple(sorted(rf.mapping.items())))

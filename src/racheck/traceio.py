@@ -19,10 +19,10 @@ A malformed trace raises one ParseError (line, reason), the first of:
      duplicate thread, an event outside a thread or after the annotations;
   2. the first thread id or location name, in text order, that is not a
      valid identifier, as line 0;
-  3. rf/mo resolution errors, in line order: an unknown event, an rf edge
-     that is not write -> read of one location and value, a read with two
-     writers, a second mo line for a location, an mo line that is not a
-     permutation of its location's writes.
+  3. rf/mo resolution errors, rf lines in line order, then mo lines: an
+     unknown event, an rf edge that is not write -> read of one location
+     and value, a read with two writers, a second mo line for a location,
+     an mo line that is not a permutation of its location's writes.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ class TraceDocument:
     graph: PartialExecutionGraph
     rf: ReadsFrom | None = None
     mo: ModificationOrder | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceDocument):
-            return NotImplemented
-        return self.graph == other.graph and self.rf == other.rf and self.mo == other.mo
 
 
 # Event and EventId are NamedTuples; tuple.__new__ builds them without

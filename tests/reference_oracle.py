@@ -11,10 +11,11 @@ with no value-matching write, by that scan: the reference for
 `Numbering.unmatched_read`, which both engines report for rf-totality
 before any search.
 
-`ChronologicalSearch` is the search that `racheck.oracle._Search.run` ran
-before it learned conflict-directed backjumping: a failed candidate only
-moves the search on to the next candidate of the same read, and a read
-that runs out of candidates returns to the read assigned just before it.
+`ChronologicalSearch` is the search that `racheck.oracle._Search.leaves`
+ran before it learned conflict-directed backjumping: a failed candidate,
+and a leaf resumed after it was yielded, only move the search on to the
+next candidate of the same read, and a read that runs out of candidates
+returns to the read assigned just before it.
 Its relaxed prune is the one the library had before it kept the forced
 write order as a closure: a per-location digraph of the forced pairs,
 searched for a cycle by DFS after every assignment.  That digraph lacks
@@ -23,9 +24,9 @@ mo.  The search keeps the library's closure too, through
 `_Search._forces_mo_cycle` with its answer ignored, so that its leaves
 hand `_first_mo` the same encoding.  The candidate order, the other
 prunes, the leaf check and the budget are those of the library, so the
-differential tests can hold the backjumping search to the same leaves,
-the same first witness, the same `all_consistent_rfs` and the same
-budget exits, with no more nodes.
+differential tests can hold the backjumping search to the same leaves in
+the same order (so the same first witness and the same
+`all_consistent_rfs`) and the same budget exits, with no more nodes.
 
 `UnionMaskSearch` is the backjumping search before each prune blamed
 one path: a porf prune (r takes w while r reaches w) blames every
@@ -50,6 +51,7 @@ exceeding it raises `BudgetExceeded("max_mo_permutations")`.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 from racheck.axioms import Axiom, _bits, check_axiom, model_needs_mo
 from racheck.model import (
@@ -66,6 +68,7 @@ from racheck.oracle import (
     BudgetExceeded,
     OracleLimits,
     _Encoding,
+    _Leaf,
     _first_mo,
     _Search,
 )
@@ -168,35 +171,29 @@ class ChronologicalSearch(_Search):
                     stack.pop()
         return False
 
-    def run(self, stop_at_first: bool) -> tuple[
-        tuple[ReadsFrom, ModificationOrder | None] | None, list[ReadsFrom]
-    ]:
-        witness: list[tuple[ReadsFrom, ModificationOrder | None]] = []
-        found: list[ReadsFrom] = []
-
+    def leaves(self) -> Iterator[_Leaf]:
         enc = self.enc
 
-        def leaf() -> bool:
+        def leaf() -> _Leaf | None:
             rf = ReadsFrom(
                 {enc.events[r].id: enc.events[w].id for r, w in self.assignment.items()}
             )
             mo: ModificationOrder | None = None
             if self.check_ob:
                 if check_axiom(self.g, rf, None, Axiom.OB_ACYCLICITY) is not None:
-                    return False
+                    return None
             if model_needs_mo(self.model):
                 mo = _first_mo(self.g, enc, number_rf(self.g, rf), self.model)
                 if mo is None:
-                    return False
-            found.append(rf)
-            if stop_at_first:
-                witness.append((rf, mo))
-                return True
-            return False
+                    return None
+            return rf, mo
 
-        def descend(depth: int) -> bool:
+        def descend(depth: int) -> Iterator[_Leaf]:
             if depth == len(self.order):
-                return leaf()
+                found = leaf()
+                if found is not None:
+                    yield found
+                return
             r, matches = self.order[depth]
             rev = enc.events[r]
             var_mask = enc.var_write_mask[rev.var]
@@ -239,8 +236,8 @@ class ChronologicalSearch(_Search):
                             added.append((a, b))
                     if added and self._forced_cycle(rev.var):
                         ok = False
-                if ok and descend(depth + 1):
-                    return True
+                if ok:
+                    yield from descend(depth + 1)
                 if added:
                     adj = self.forced[rev.var]
                     for a, b in added:
@@ -251,10 +248,8 @@ class ChronologicalSearch(_Search):
                 enc.coreach = coreach_snap
                 if self.prune_relaxed:
                     enc.mo_reach, enc.mo_coreach = mo_snap
-            return False
 
-        descend(0)
-        return (witness[0] if witness else None), found
+        yield from descend(0)
 
 
 class UnionMaskSearch(_Search):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -191,6 +192,11 @@ def test_mo_axioms_require_mo():
     g, rf, _ = fx.mo_against_hb()
     with pytest.raises(MissingMo):
         check_axiom(g, rf, None, Axiom.WRITE_COHERENCE)
+    # and one that orders every written location
+    g = build_graph([("t1", [("w", "x", 1), ("w", "y", 1)])])
+    only_x = ModificationOrder({"x": [E("t1", 0)]})
+    with pytest.raises(MissingMo, match="does not cover every written location"):
+        check_axiom(g, ReadsFrom({}), only_x, Axiom.WRITE_COHERENCE)
 
 
 def test_given_mo_is_validated_by_every_check():
@@ -270,6 +276,42 @@ def test_replay_checks_one_step_certificates():
     for label in REPLAY_LABELS:
         if label != RF_INV_EDGE:
             assert not replay_certificate(g, [(unmatched, label)]), label
+    # an empty certificate makes no claim, so it replays on no graph
+    assert not replay_certificate(g, [])
+    assert not replay_certificate(g, [], ReadsFrom({}), ModificationOrder({"x": [write]}))
+
+
+def test_replay_rejects_each_false_step():
+    # t1: w x 1; r y 2    t2: w y 1; w y 2; r x 1    t3: w x 2
+    g = build_graph(
+        [
+            ("t1", [("w", "x", 1), ("r", "y", 2)]),
+            ("t2", [("w", "y", 1), ("w", "y", 2), ("r", "x", 1)]),
+            ("t3", [("w", "x", 2)]),
+        ]
+    )
+    t1, t2, t3 = (functools.partial(E, t) for t in ("t1", "t2", "t3"))
+    rf = ReadsFrom({t2(2): t1(0), t1(1): t2(1)})
+    mo = ModificationOrder({"x": [t1(0), t3(0)], "y": [t2(0), t2(1)]})
+    # The first step of each cycle is false.  The steps that close it
+    # hold, except where no path back exists or the relation is not given.
+    cases = [
+        ([(t1(0), PO_EDGE), (t2(2), RF_INV_EDGE)], rf, mo),  # across threads
+        ([(t2(2), PO_EDGE), (t2(1), PO_EDGE)], rf, mo),  # reversed
+        ([(t2(2), RF_EDGE), (t1(0), RF_EDGE)], rf, mo),  # reversed
+        ([(t1(0), RF_EDGE), (t2(2), RF_INV_EDGE)], None, mo),  # no rf
+        ([(t1(0), RF_INV_EDGE), (t2(2), RF_INV_EDGE)], rf, mo),  # reversed
+        ([(t2(1), MO_EDGE), (t2(0), MO_EDGE)], rf, mo),  # reversed
+        ([(t1(0), MO_EDGE), (t2(1), PO_EDGE), (t2(2), RF_INV_EDGE)], rf, mo),  # x before y
+        ([(t2(0), MO_EDGE), (t2(1), MO_EDGE)], rf, None),  # no mo
+        ([(t3(0), HB_EDGE), (t1(0), MO_EDGE)], rf, mo),  # unrelated events
+        ([(t1(0), OB_EDGE), (t2(2), RF_INV_EDGE)], None, mo),  # no rf
+        ([(t1(0), "xx"), (t2(2), RF_INV_EDGE)], rf, mo),  # unknown label
+    ]
+    for cert, given_rf, given_mo in cases:
+        assert not replay_certificate(g, cert, given_rf, given_mo), cert
+    assert replay_certificate(g, [(t1(0), RF_EDGE), (t2(2), RF_INV_EDGE)], rf, mo)
+    assert replay_certificate(g, [(t1(0), HB_EDGE), (t2(2), RF_INV_EDGE)], rf, mo)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +401,8 @@ def test_observed_order_empty_thread():
     g = build_graph([("t1", [])])
     with pytest.raises(EmptyThread):
         compute_ob(g, ReadsFrom({}), "t1")
+    with pytest.raises(UnknownEvent, match="no thread 'zz'"):
+        compute_ob(g, ReadsFrom({}), "zz")
 
 
 def test_observed_order_grows_along_po():

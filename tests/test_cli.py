@@ -101,6 +101,20 @@ def test_check_solver_trace_output(workdir):
     assert steps.read_text().rstrip().endswith("updates 2")
 
 
+def test_check_trace_on_multi_writer_input(workdir, capsys):
+    # the oracle keeps no solver trace: the check says so and writes none
+    trace = workdir / "two-writers.trace"
+    trace.write_text("thread t1\nw x 1\nthread t2\nw x 2\nr x 1\n")
+    steps = workdir / "steps.txt"
+    code = main(["check", "--model", "wra", "--input", str(trace), "--trace", str(steps)])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "multi-writer input: falling back to exponential search",
+        "no solver trace for the exponential path",
+    ]
+    assert not steps.exists()
+
+
 def test_verify_fixture_witness(workdir, capsys):
     witness = workdir / "w.trace"
     main(
@@ -272,6 +286,9 @@ def test_fuzz_zero_cases(workdir, capsys):
 
 def test_fuzz_rejects_unknown_model(workdir, capsys):
     assert main(["fuzz", "--models", "nonsense"]) == 2
+    capsys.readouterr()
+    assert main(["fuzz", "--models", ","]) == 2
+    assert capsys.readouterr().err == "empty model list\n"
 
 
 def test_stdin_input(workdir, capsys, monkeypatch):

@@ -179,6 +179,19 @@ def test_rf_min_is_greatest_lower_bound():
                 assert rf_leq(other, lower, g)
 
 
+def test_relations_compare_by_value():
+    # ReadsFrom hashes its mapping; a ModificationOrder is not hashable
+    rf = ReadsFrom({E("t2", 0): E("t1", 0)})
+    assert rf == ReadsFrom(dict(rf.mapping)) and rf != ReadsFrom({})
+    assert hash(rf) == hash(ReadsFrom(dict(rf.mapping)))
+    mo = ModificationOrder({"x": [E("t1", 0), E("t2", 0)]})
+    assert mo == ModificationOrder({"x": [E("t1", 0), E("t2", 0)]})
+    assert mo != ModificationOrder({"x": [E("t2", 0), E("t1", 0)]})
+    assert rf != mo
+    with pytest.raises(TypeError):
+        hash(mo)
+
+
 def test_reads_from_validate_rejects_mismatches():
     g = fx.single_writer_consistent()
     from racheck import InvalidRf

@@ -165,13 +165,20 @@ def _unmatched_reads():
 UNMATCHED_READS = _unmatched_reads()
 
 
-def test_rf_totality_names_first_unmatched_read_in_id_order():
+def test_rf_totality_names_first_unmatched_read_in_id_order(monkeypatch):
+    # both entry points answer it before the search's encoding is built
+    def no_encoding(g):
+        raise AssertionError("the search was set up")
+
+    monkeypatch.setattr(oracle, "_Encoding", no_encoding)
     assert unmatched_read(UNMATCHED_READS) == E("t1", 0)
     for m in CANONICAL_MODELS:
         verdict = oracle_consistent(UNMATCHED_READS, m)
         assert (verdict.is_consistent, verdict.axiom) == (False, RF_TOTALITY), m
         assert verdict.certificate == [(E("t1", 0), "rf^-1")], m
         assert all_consistent_rfs(UNMATCHED_READS, m) == [], m
+    with pytest.raises(AssertionError):  # a graph without one is searched
+        oracle_consistent(fx.single_writer_consistent(), MemoryModel.WRA)
 
 
 def test_max_events_is_checked_first():
@@ -418,36 +425,39 @@ def oracle_cases(draw):
     return g, draw(st.sampled_from(CANONICAL_MODELS)), limits
 
 
-def _outcome(search_class, g, m, limits, stop_at_first):
+def _outcome(search_class, g, m, limits, first):
+    """Run a new search to its first leaf (`first`: the leaf, or None) or
+    through every leaf (their list); ("budget", limit) when a limit ran
+    out.  Returns the outcome and the search."""
     search = search_class(g, m, limits)
+    leaves = search.leaves()
     try:
-        witness, found = search.run(stop_at_first)
+        return (next(leaves, None) if first else list(leaves)), search
     except BudgetExceeded as exc:
         return ("budget", exc.limit), search
-    return (witness if stop_at_first else found), search
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(oracle_cases())
 def test_backjumping_matches_chronological_search(case):
     g, m, limits = case
-    for stop_at_first in (True, False):
-        ref, ref_search = _outcome(ChronologicalSearch, g, m, limits, stop_at_first)
-        out, search = _outcome(_Search, g, m, limits, stop_at_first)
+    for first in (True, False):
+        ref, ref_search = _outcome(ChronologicalSearch, g, m, limits, first)
+        out, search = _outcome(_Search, g, m, limits, first)
         assert search.rf_nodes <= ref_search.rf_nodes
         # Only subtrees without leaves are skipped, so every outcome the
         # reference reaches within the node budget is reproduced exactly:
-        # the first witness (rf and mo) and the enumerated rfs in order.
+        # the first witness (rf and mo) and every leaf in order.
         # Where the reference runs out of nodes, the smaller search may
         # still decide.
         if ref != ("budget", "max_rf_candidates"):
-            assert out == ref, stop_at_first
+            assert out == ref, first
         # Each prune blames one path where the reference blames every rf
         # edge that can lie on some path: the same leaves, no more nodes.
-        union, union_search = _outcome(UnionMaskSearch, g, m, limits, stop_at_first)
+        union, union_search = _outcome(UnionMaskSearch, g, m, limits, first)
         assert search.rf_nodes <= union_search.rf_nodes
         if union != ("budget", "max_rf_candidates"):
-            assert out == union, stop_at_first
+            assert out == union, first
 
 
 def test_oracle_cases_reach_budgets_and_backjumps():
@@ -474,7 +484,7 @@ def test_backjumping_decides_eight_pattern_formula():
     # when each prune blamed every path).
     g = cnf_to_twowriter_relaxed(EIGHT_PATTERNS)
     search = _Search(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits(max_rf_candidates=200_000))
-    assert search.run(True) == (None, [])
+    assert list(search.leaves()) == []
     assert (search.rf_nodes, search.backjumps) == (8_247, 3_150)
 
 
@@ -484,7 +494,7 @@ def test_backjumps_counted_on_unsat_relaxed_gadget():
     g = cnf_to_twowriter_relaxed(CnfFormula(2, tuple(sign_patterns(2, 1, 0))))
     search = _Search(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
     reference = ChronologicalSearch(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
-    assert search.run(True) == reference.run(True) == (None, [])
+    assert list(search.leaves()) == list(reference.leaves()) == []
     assert (search.rf_nodes, search.backjumps) == (577, 154)
     assert (reference.rf_nodes, reference.backjumps) == (13_725, 0)
 
@@ -527,7 +537,7 @@ def _replay_prunes(g, m, limits):
     the prunes seen."""
     search = _PruneRecorder(g, m, limits)
     try:
-        search.run(True)
+        next(search.leaves(), None)
     except BudgetExceeded:
         pass  # the prunes made so far were recorded
     for ax, src in search.prunes:

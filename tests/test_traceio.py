@@ -202,6 +202,25 @@ def test_parse_dimacs_comments_and_multiline_clauses():
     assert phi == CnfFormula(3, (((1, True), (2, True), (3, True)),))
 
 
+def test_parse_dimacs_errors():
+    cases = {
+        "p cnf 3 1\np cnf 3 1\n1 2 3 0\n": (2, "duplicate header"),
+        "p cnf 3\n": (1, "expected: p cnf <vars> <clauses>"),
+        "p dnf 3 1\n": (1, "expected: p cnf <vars> <clauses>"),
+        "p cnf x 1\n": (1, "malformed integer 'x'"),
+        "1 2 3 0\np cnf 3 1\n": (1, "clause before header"),
+        "c no header\n": (0, "missing header"),
+        "": (0, "missing header"),
+        "p cnf 2 1\n1 -2 3 0\n": (2, "literal 3 exceeds declared variable count"),
+        "p cnf 3 1\n1 2 y 0\n": (2, "malformed integer 'y'"),
+        "p cnf 3 1\n1 2 3 0\n1 2\n": (3, "unterminated clause"),
+    }
+    for text, error in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_dimacs(text)
+        assert (err.value.line, err.value.reason) == error, text
+
+
 def test_dimacs_round_trip():
     phi = fx.two_clause_formula()
     assert parse_dimacs(serialize_dimacs(phi)) == phi
@@ -230,6 +249,27 @@ def test_parse_edgelist_square():
 def test_parse_edgelist_deduplicates():
     graph = parse_edgelist("3\n1 2\n2 1\n")
     assert graph == UndirectedGraph.from_edges(3, [(1, 2)])
+
+
+def test_parse_edgelist_errors():
+    cases = {
+        "3 4\n": (1, "expected a vertex count"),
+        "three\n": (1, "malformed integer 'three'"),
+        "-1\n": (1, "negative vertex count"),
+        "3\n1 2 3\n": (2, "expected: <u> <v>"),
+        "3\n1 x\n": (2, "malformed integer 'x'"),
+        "3\n1 4\n": (2, "edge (1,4) out of range"),
+        "3\n0 1\n": (2, "edge (0,1) out of range"),
+        "": (0, "empty edge list input"),
+        "# only a comment\n\n": (0, "empty edge list input"),
+    }
+    for text, error in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_edgelist(text)
+        assert (err.value.line, err.value.reason) == error, text
+    # a comment-only line is skipped before and after the vertex count
+    text = "# a path\n3\n  # first edge\n1 2\n"
+    assert parse_edgelist(text) == UndirectedGraph.from_edges(3, [(1, 2)])
 
 
 def test_edgelist_round_trip():
@@ -376,12 +416,13 @@ def test_mutated_traces_parse_as_the_reference():
 
 def test_parse_error_order():
     # line errors in line order, then the first bad name as line 0, then
-    # rf/mo resolution errors
+    # rf/mo resolution errors: rf lines in line order, then mo lines
     cases = [
         ("thread a!\nw x 1\nrf t1:0 t9:0\nbogus\n", (4, "unknown directive 'bogus'")),
         ("thread a!\nw y! 1\nrf a!:0 t9:0\n", (0, "thread id 'a!' is not a valid identifier")),
         ("thread t\nw y! 1\nthread b$\n", (0, "location 'y!' is not a valid identifier")),
         ("thread t\nw x 1\nrf t:0 t9:0\nmo x t:1\n", (3, "unknown event t9:0")),
+        ("thread t1\nw x 1\nr x 1\nmo x t1:5\nrf t1:0 t1:9\n", (5, "unknown event t1:9")),
     ]
     for text, error in cases:
         assert _outcome(parse_trace, text)[1] == error
