@@ -17,9 +17,7 @@ from pathlib import Path
 
 from .axioms import MissingMo, verify
 from .harness import FuzzParams, InvalidParams, differential_run
-from .model import (
-    InvalidRf, MemoryModel, ModelError, ModificationOrder, ReadsFrom, Verdict, max_writers
-)
+from .model import MemoryModel, ModelError, ModificationOrder, ReadsFrom, Verdict, max_writers
 from .oracle import DEFAULT_LIMITS, BudgetExceeded, all_consistent_rfs, oracle_consistent
 from .reductions import (
     NotThreeCnf,
@@ -258,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (
-        ParseError, NotThreeCnf, SelfLoop, MissingMo, InvalidRf, ModelError, InvalidParams, OSError
+        ParseError, NotThreeCnf, SelfLoop, MissingMo, ModelError, InvalidParams, OSError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -148,6 +148,9 @@ class PartialExecutionGraph:
         return f"PartialExecutionGraph({self.num_events} events, {len(self.thread_ids)} threads)"
 
 
+RF_TOTALITY = "rf-totality"  # the verdict label of `Numbering.unmatched_read`'s rule
+
+
 class Numbering:
     """The integer numbering of a graph's events that the engines share.
 

@@ -80,6 +80,7 @@ from dataclasses import dataclass
 from .axioms import Axiom, _bits, _check_axiom, _HbIndex, _link, model_needs_mo
 from .model import (
     RF_INV_EDGE,
+    RF_TOTALITY,
     EventId,
     MemoryModel,
     ModificationOrder,
@@ -88,7 +89,6 @@ from .model import (
     Verdict,
     reads_from,
 )
-from .solver import RF_TOTALITY
 
 EXHAUSTED = "exhausted"
 

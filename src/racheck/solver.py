@@ -39,6 +39,7 @@ from .model import (
     PO_EDGE,
     RF_EDGE,
     RF_INV_EDGE,
+    RF_TOTALITY,
     EventId,
     MemoryModel,
     ModificationOrder,
@@ -50,8 +51,6 @@ from .model import (
     normalize_cycle,
     reads_from,
 )
-
-RF_TOTALITY = "rf-totality"
 
 
 class NotOneWriter(Exception):

@@ -13,16 +13,16 @@ rf/mo lines must follow all thread blocks.  Serialization is canonical:
 threads in first-appearance order, rf lines sorted by reader, mo lines
 sorted by location; parse and serialize are mutually inverse.
 
-A malformed trace raises one ParseError (line, reason), the first of:
-  1. line errors, in line order: an unknown directive, a wrong token
-     count, a malformed or out-of-range integer, a malformed event id, a
-     duplicate thread, an event outside a thread or after the annotations;
-  2. the first thread id or location name, in text order, that is not a
-     valid identifier, as line 0;
-  3. rf/mo resolution errors, rf lines in line order, then mo lines: an
-     unknown event, an rf edge that is not write -> read of one location
-     and value, a read with two writers, a second mo line for a location,
-     an mo line that is not a permutation of its location's writes.
+Every parser here raises the first error in line order, from the one
+scan that reads the line: a ParseError (line, reason), or NotThreeCnf or
+SelfLoop.  Within a trace line, its syntax is checked first (the token
+count, the value, every event id), then its thread id or location name,
+then its rf/mo resolution: an unknown event, an rf edge that is not
+write -> read of one location and value, a read with two writers, a
+second mo line for a location, an mo line that is not a permutation of
+its location's writes.  Errors found only at the end of the input
+(a missing header, an unterminated clause, a wrong clause count, an
+empty edge list) come last.
 """
 
 from __future__ import annotations
@@ -87,19 +87,19 @@ def _parse_event_id(token: str, lineno: int) -> EventId:
 def parse_trace(text: str) -> TraceDocument:
     """Parse a trace in one scan of its lines, which builds the events.
 
-    Each distinct name, value and rf/mo event-id token is checked once,
-    and each event id resolved through the graph's numbering once.
+    The first rf or mo line builds the graph; each rf/mo line is resolved
+    against its numbering as it is read.  Each distinct name, value and
+    rf/mo event-id token is checked once.
     """
     threads: list[tuple[str, list[Event]]] = []
     seen_threads: set[str] = set()
     valid: set[str] = set()  # names that passed the identifier check
-    bad_name: str | None = None  # the message for the first one that failed it
     values: dict[str, int] = {}  # each distinct value token, parsed
     ids: dict[str, EventId] = {}  # each distinct rf/mo event-id token, parsed
-    rf_lines: list[tuple[int, str, str]] = []
-    mo_lines: list[tuple[int, str, list[str]]] = []
     current: list[Event] | None = None
-    annotations_started = False
+    graph: PartialExecutionGraph | None = None  # built at the first rf or mo line
+    mapping: dict[EventId, EventId] = {}
+    per_var: dict[str, list[EventId]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
@@ -107,22 +107,22 @@ def parse_trace(text: str) -> TraceDocument:
             continue
         keyword = tokens[0]
         if keyword == READ or keyword == WRITE:
-            if annotations_started:
+            if graph is not None:
                 raise ParseError(lineno, "event after rf/mo annotations")
             if current is None:
                 raise ParseError(lineno, "event outside a thread block")
             if len(tokens) != 3:
                 raise ParseError(lineno, f"expected: {keyword} <var> <int>")
-            var = tokens[1]
-            if var not in valid and bad_name is None:
-                bad_name = _check_identifier("location", var, valid)
             val = values.get(tokens[2])
             if val is None:
                 val = values[tokens[2]] = _parse_int(tokens[2], lineno)
+            var = tokens[1]
+            if var not in valid and (error := _check_identifier("location", var, valid)):
+                raise ParseError(lineno, error)
             eid = _tuple(EventId, (tid, len(current)))
             current.append(_tuple(Event, (eid, keyword, var, val)))
         elif keyword == "thread":
-            if annotations_started:
+            if graph is not None:
                 raise ParseError(lineno, "thread block after rf/mo annotations")
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected: thread <tid>")
@@ -130,42 +130,23 @@ def parse_trace(text: str) -> TraceDocument:
             if tid in seen_threads:
                 raise ParseError(lineno, f"duplicate thread id {tid!r}")
             seen_threads.add(tid)
-            if tid not in valid and bad_name is None:
-                bad_name = _check_identifier("thread id", tid, valid)
+            if error := _check_identifier("thread id", tid, valid):
+                raise ParseError(lineno, error)
             current = []
             threads.append((tid, current))
         elif keyword == "rf":
             if len(tokens) != 3:
                 raise ParseError(lineno, "expected: rf <writer> <reader>")
-            annotations_started = True
+            if graph is None:
+                graph = PartialExecutionGraph(threads)
+                num = graph.numbering
+                events, index = num.events, num.index
             for token in tokens[1:]:
                 if token not in ids:
                     ids[token] = _parse_event_id(token, lineno)
-            rf_lines.append((lineno, tokens[1], tokens[2]))
-        elif keyword == "mo":
-            if len(tokens) < 3:
-                raise ParseError(lineno, "expected: mo <var> <write>+")
-            annotations_started = True
-            for token in tokens[2:]:
-                if token not in ids:
-                    ids[token] = _parse_event_id(token, lineno)
-            mo_lines.append((lineno, tokens[1], tokens[2:]))
-        else:
-            raise ParseError(lineno, f"unknown directive {keyword!r}")
-
-    if bad_name is not None:
-        raise ParseError(0, bad_name)
-    graph = PartialExecutionGraph(threads)
-    num = graph.numbering
-    events = num.events
-    nums = {token: num.index.get(eid) for token, eid in ids.items()}  # None: no such event
-
-    rf = None
-    if rf_lines:
-        mapping: dict[EventId, EventId] = {}
-        for lineno, wtoken, rtoken in rf_lines:
+            _, wtoken, rtoken = tokens
             wid, rid = ids[wtoken], ids[rtoken]
-            w, r = nums[wtoken], nums[rtoken]
+            w, r = index.get(wid), index.get(rid)
             if w is None:
                 raise ParseError(lineno, f"unknown event {wid}")
             if r is None:
@@ -181,29 +162,41 @@ def parse_trace(text: str) -> TraceDocument:
             if rid in mapping:
                 raise ParseError(lineno, f"read {rid} has two writers")
             mapping[rid] = wid
-        rf = ReadsFrom(mapping)
-
-    mo = None
-    if mo_lines:
-        per_var: dict[str, list[EventId]] = {}
-        for lineno, var, tokens in mo_lines:
+        elif keyword == "mo":
+            if len(tokens) < 3:
+                raise ParseError(lineno, "expected: mo <var> <write>+")
+            if graph is None:
+                graph = PartialExecutionGraph(threads)
+                num = graph.numbering
+                events, index = num.events, num.index
+            var, tokens = tokens[1], tokens[2:]
+            for token in tokens:
+                if token not in ids:
+                    ids[token] = _parse_event_id(token, lineno)
             if var in per_var:
                 raise ParseError(lineno, f"duplicate mo line for {var!r}")
             writes = set(num.var_writes.get(var, ()))
-            order = [nums[token] for token in tokens]
-            for token, w in zip(tokens, order):
+            eids = [ids[token] for token in tokens]
+            order = [index.get(eid) for eid in eids]
+            for eid, w in zip(eids, order):
                 if w is None:
-                    raise ParseError(lineno, f"unknown event {ids[token]}")
+                    raise ParseError(lineno, f"unknown event {eid}")
                 if w not in writes:
-                    raise ParseError(lineno, f"{ids[token]} is not a write to {var!r}")
+                    raise ParseError(lineno, f"{eid} is not a write to {var!r}")
             placed = set(order)
             if len(placed) != len(order):
                 raise ParseError(lineno, f"mo for {var!r} lists a write twice")
             if placed != writes:
                 raise ParseError(lineno, f"mo for {var!r} omits a write")
-            per_var[var] = [ids[token] for token in tokens]
-        mo = ModificationOrder(per_var)
+            per_var[var] = eids
+        else:
+            raise ParseError(lineno, f"unknown directive {keyword!r}")
 
+    if graph is None:
+        graph = PartialExecutionGraph(threads)
+    # each rf or mo line adds an entry, so an empty map means no such line
+    rf = ReadsFrom(mapping) if mapping else None
+    mo = ModificationOrder(per_var) if per_var else None
     return TraceDocument(graph, rf, mo)
 
 
@@ -236,7 +229,9 @@ def serialize_trace(doc: TraceDocument) -> str:
 def parse_dimacs(text: str) -> CnfFormula:
     """Standard DIMACS CNF restricted to width-3 clauses."""
     header: tuple[int, int] | None = None
-    literals: list[tuple[int, int]] = []  # (lineno, literal)
+    clauses: list[tuple] = []
+    pending: list[Literal] = []
+    last_line = 0  # the last clause line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -247,34 +242,29 @@ def parse_dimacs(text: str) -> CnfFormula:
             tokens = line.split()
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ParseError(lineno, "expected: p cnf <vars> <clauses>")
-            header = (_parse_int(tokens[2], lineno), _parse_int(tokens[3], lineno))
+            header = num_vars, num_clauses = (
+                _parse_int(tokens[2], lineno), _parse_int(tokens[3], lineno)
+            )
             if min(header) < 0:
                 raise ParseError(lineno, "negative variable or clause count")
             continue
         if header is None:
             raise ParseError(lineno, "clause before header")
+        last_line = lineno
         for token in line.split():
-            literals.append((lineno, _parse_int(token, lineno)))
+            lit = _parse_int(token, lineno)
+            if lit == 0:
+                if len(pending) != 3:
+                    raise NotThreeCnf(f"clause ending at line {lineno} has {len(pending)} literals")
+                clauses.append(tuple(pending))
+                pending = []
+            elif abs(lit) > num_vars:
+                raise ParseError(lineno, f"literal {lit} exceeds declared variable count")
+            else:
+                pending.append((abs(lit), lit > 0))
 
     if header is None:
         raise ParseError(0, "missing header")
-    num_vars, num_clauses = header
-
-    clauses: list[tuple] = []
-    pending: list[Literal] = []
-    last_line = 0
-    for lineno, lit in literals:
-        last_line = lineno
-        if lit == 0:
-            if len(pending) != 3:
-                raise NotThreeCnf(f"clause ending at line {lineno} has {len(pending)} literals")
-            clauses.append(tuple(pending))
-            pending = []
-            continue
-        var = abs(lit)
-        if var > num_vars:
-            raise ParseError(lineno, f"literal {lit} exceeds declared variable count")
-        pending.append((var, lit > 0))
     if pending:
         raise ParseError(last_line, "unterminated clause")
     if len(clauses) != num_clauses:

@@ -6,10 +6,12 @@ name against the identifier pattern at each occurrence and re-checks
 each value's type and range.  It resolves every rf/mo event id with
 `has_event` and `event` after that.  `serialize_trace` formats each
 event id with `EventId.__str__`.  The library's parser builds the
-events in its line scan and checks each distinct name once; the
+events in its line scan and checks each distinct name once.  The
 differential tests hold it, and the library's `build_graph`, to the same
-documents, the same numberings and the same `ParseError` (line, reason)
-as these.
+documents, numberings and `build_graph` errors as these, and a rejected
+trace to this parser's reason on the shortest prefix of its lines that
+this parser rejects, at that prefix's last line: the first error in line
+order.
 """
 
 from __future__ import annotations

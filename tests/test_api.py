@@ -127,6 +127,39 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+# The engines' import graph, listed so that a new edge is deliberate: the
+# model below everything, the axioms on it, the two engines side by side.
+LAYERS = {
+    "model": set(),
+    "axioms": {"model"},
+    "solver": {"model", "axioms"},
+    "oracle": {"model", "axioms"},
+    "reductions": {"model"},
+    "traceio": {"model", "reductions"},
+}
+
+
+def _racheck_imports(source: str) -> set[str]:
+    """The `racheck` modules a module imports, relatively or by name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["racheck" if node.level else "", node.module]))
+            if module == "racheck":  # from . import x
+                names += [f"racheck.{alias.name}" for alias in node.names]
+            else:
+                names.append(module)
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("racheck.")}
+
+
+def test_module_layering():
+    src = Path(racheck.__file__).parent
+    imports = {name: _racheck_imports((src / f"{name}.py").read_text()) for name in LAYERS}
+    assert imports == LAYERS
+
+
 def _reads(node: ast.AST) -> Counter:
     """Names read under node: loaded names and attribute names."""
     names = Counter()

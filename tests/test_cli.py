@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from racheck import axioms
+from racheck import axioms, solve, verify
 from racheck.cli import build_parser, main
 from racheck.model import MemoryModel
 from racheck.traceio import parse_trace, serialize_trace, TraceDocument
@@ -41,6 +41,17 @@ def test_check_consistent_fixture(workdir, capsys):
     assert out.splitlines()[0] == "CONSISTENT"
     doc = parse_trace(witness.read_text())
     assert doc.rf == fx.swc_rf2()
+
+
+def test_check_witness_to_stdout(workdir, capsys):
+    code = main(["check", "--model", "wra", "--input", str(workdir / "fig2.trace"), "--witness", "-"])
+    assert code == 0
+    g = fx.single_writer_consistent()
+    verdict, _ = solve(g, MemoryModel.WRA)
+    witness = serialize_trace(TraceDocument(g, verdict.rf, verdict.mo))
+    assert capsys.readouterr().out == "CONSISTENT\n" + witness
+    doc = parse_trace(witness)
+    assert verify(doc.graph, doc.rf, doc.mo, MemoryModel.WRA).is_consistent
 
 
 def test_check_inconsistent_fixture(workdir, capsys):
@@ -189,6 +200,14 @@ def test_reduce_and_check_pipeline(workdir, capsys):
     for model in ("sra", "ra", "wra"):
         assert main(["check", "--model", model, "--input", str(out_trace)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "CONSISTENT"
+
+
+def test_reduce_output_to_stdout(workdir, capsys):
+    out_trace = workdir / "phi3w.trace"
+    argv = ["reduce", "cnf3w", "--input", str(workdir / "phi.cnf"), "--output"]
+    assert main(argv + [str(out_trace)]) == 0
+    assert main(argv + ["-"]) == 0
+    assert capsys.readouterr().out == out_trace.read_text()
 
 
 def test_reduce_twowriter_profile(workdir, capsys):

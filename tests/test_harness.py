@@ -4,6 +4,7 @@ import pytest
 
 import racheck.harness as harness
 from racheck import (
+    BudgetExceeded,
     InvalidParams,
     MemoryModel,
     Verdict,
@@ -38,6 +39,11 @@ def test_random_graph_empty():
 def test_random_graph_rejects_zero_threads():
     with pytest.raises(InvalidParams):
         random_graph(FuzzParams(seed=1, num_threads=0, num_events=5))
+
+
+def test_random_graph_rejects_empty_value_range():
+    with pytest.raises(InvalidParams, match="empty value range"):
+        random_graph(FuzzParams(seed=1, value_range=0))
 
 
 def test_random_graph_mostly_matched_reads():
@@ -95,3 +101,56 @@ def test_differential_failure_writes_reproducer(tmp_path, monkeypatch):
     )
     assert reparsed.graph == regenerated
     assert f"failures={len(report.failures)}" in report.summary()
+
+
+def _consistent_under_sra_only(g, m, limits=None):
+    if m is MemoryModel.SRA:
+        return Verdict.consistent(None, None)
+    return Verdict.inconsistent("fake", None)
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("rf_leq", lambda rf, other, g: False, "solver rf not minimal under wra"),
+        ("oracle_consistent", _consistent_under_sra_only, "hierarchy broken: sra consistent, ra not"),
+        (
+            "verify",
+            lambda g, rf, mo, m: Verdict.inconsistent("fake", None),
+            "single-writer witness rejected by causal memory",
+        ),
+    ],
+)
+def test_differential_failure_reports(monkeypatch, name, fake, message):
+    # each check of the sweep, made to fail by a faked engine
+    monkeypatch.setattr(harness, name, fake)
+    models = [MemoryModel.SRA, MemoryModel.RA, MemoryModel.WRA]
+    report = differential_run(FuzzParams(seed=11, num_events=10, writer_bound=1), models, 10)
+    assert message in {failure.message for failure in report.failures}
+
+
+def test_differential_run_skips_cases_over_budget(monkeypatch):
+    def over_budget(g, m, limits=None):
+        raise BudgetExceeded("max_events", 0)
+
+    monkeypatch.setattr(harness, "oracle_consistent", over_budget)
+    report = differential_run(FuzzParams(seed=1), [MemoryModel.WRA], 2)
+    assert (report.cases, report.budget_skips, report.failures) == (2, [0, 1], [])
+
+
+def test_report_render():
+    report = harness.Report(
+        FuzzParams(seed=5),
+        [MemoryModel.WRA, MemoryModel.CM],
+        cases=3,
+        failures=[harness.CaseFailure(2, "boom", "out/case_2.trace"), harness.CaseFailure(0, "bang")],
+        budget_skips=[1],
+    )
+    assert report.render() == (
+        "prng=python-random-mt19937 seed=5 threads=3 locations=3 events=10 values=0..3 writers=1\n"
+        "models=wra,cm\n"
+        "case 0: FAIL bang\n"
+        "case 2: FAIL boom reproducer=out/case_2.trace\n"
+        "case 1: skipped (oracle budget)\n"
+        "cases=3 failures=2\n"
+    )

@@ -69,6 +69,27 @@ def test_cnf_rejects_wrong_width():
         CnfFormula(1, (((1, True), (1, True)),))
 
 
+# The parsers check every line first, so these guard direct construction.
+@pytest.mark.parametrize(
+    "cls, args, error, message",
+    [
+        (CnfFormula, (-1, ()), ValueError, "negative variable count"),
+        (CnfFormula, (2, (((1, True), (3, False), (2, True)),)), ValueError,
+         "literal variable 3 out of range"),
+        (CnfFormula, (2, (((0, True), (1, True), (2, True)),)), ValueError,
+         "literal variable 0 out of range"),
+        (UndirectedGraph, (3, frozenset({(2, 2)})), SelfLoop, "self-loop at vertex 2"),
+        (UndirectedGraph, (3, frozenset({(1, 4)})), ValueError, "edge (1,4) out of range"),
+        (UndirectedGraph, (3, frozenset({(3, 1)})), ValueError,
+         "edges must be normalized with u < v"),
+    ],
+)
+def test_constructor_guards(cls, args, error, message):
+    with pytest.raises(error) as err:
+        cls(*args)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Three-writer gadget
 # ---------------------------------------------------------------------------

@@ -182,8 +182,11 @@ def test_parse_dimacs_two_clause():
 
 
 def test_parse_dimacs_rejects_width():
-    with pytest.raises(NotThreeCnf):
+    with pytest.raises(NotThreeCnf, match="at line 2 has 2 literals"):
         parse_dimacs("p cnf 2 1\n1 2 0\n")
+    # the short clause on line 2 comes before line 3's malformed token
+    with pytest.raises(NotThreeCnf, match="at line 2 has 2 literals"):
+        parse_dimacs("p cnf 3 2\n1 2 0\n1 x 2 0\n")
 
 
 def test_parse_dimacs_header_mismatch():
@@ -214,6 +217,7 @@ def test_parse_dimacs_errors():
         "p cnf 2 1\n1 -2 3 0\n": (2, "literal 3 exceeds declared variable count"),
         "p cnf 3 1\n1 2 y 0\n": (2, "malformed integer 'y'"),
         "p cnf 3 1\n1 2 3 0\n1 2\n": (3, "unterminated clause"),
+        "p cnf 2 2\n1 2 3 0\n1 x 2 0\n": (2, "literal 3 exceeds declared variable count"),
     }
     for text, error in cases.items():
         with pytest.raises(ParseError) as err:
@@ -395,12 +399,25 @@ def test_parse_trace_matches_reference(doc, mutations, rng):
 def _check_against_reference(text: str) -> None:
     got, got_error = _outcome(parse_trace, text)
     want, want_error = _outcome(reference_traceio.parse_trace, text)
-    assert got_error == want_error
+    assert (got_error is None) == (want_error is None)
     if want is not None:
         assert got == want
         assert got.graph.numbering.events == want.graph.numbering.events
         assert got.graph.numbering.index == want.graph.numbering.index
         assert serialize_trace(got) == reference_traceio.serialize_trace(want)
+    else:
+        assert got_error == _first_error(text)
+
+
+def _first_error(text: str) -> tuple[int, str]:
+    """The first error in line order, by the reference: its reason on the
+    shortest prefix of the lines that it rejects, at that prefix's last
+    line."""
+    lines = text.splitlines()
+    for end in range(1, len(lines) + 1):
+        _, error = _outcome(reference_traceio.parse_trace, "\n".join(lines[:end]))
+        if error is not None:
+            return end, error[1]
 
 
 def test_mutated_traces_parse_as_the_reference():
@@ -415,18 +432,21 @@ def test_mutated_traces_parse_as_the_reference():
 
 
 def test_parse_error_order():
-    # line errors in line order, then the first bad name as line 0, then
-    # rf/mo resolution errors: rf lines in line order, then mo lines
+    # the first error in line order; within a line its syntax, then its
+    # name, then its rf/mo resolution
     cases = [
-        ("thread a!\nw x 1\nrf t1:0 t9:0\nbogus\n", (4, "unknown directive 'bogus'")),
-        ("thread a!\nw y! 1\nrf a!:0 t9:0\n", (0, "thread id 'a!' is not a valid identifier")),
-        ("thread t\nw y! 1\nthread b$\n", (0, "location 'y!' is not a valid identifier")),
+        ("thread a!\nw x 1\nrf t1:0 t9:0\nbogus\n", (1, "thread id 'a!' is not a valid identifier")),
+        ("thread a!\nw y! 1\nrf a!:0 t9:0\n", (1, "thread id 'a!' is not a valid identifier")),
+        ("thread t\nw y! 1\nthread b$\n", (2, "location 'y!' is not a valid identifier")),
         ("thread t\nw x 1\nrf t:0 t9:0\nmo x t:1\n", (3, "unknown event t9:0")),
-        ("thread t1\nw x 1\nr x 1\nmo x t1:5\nrf t1:0 t1:9\n", (5, "unknown event t1:9")),
+        ("thread t1\nw x 1\nr x 1\nmo x t1:5\nrf t1:0 t1:9\n", (4, "unknown event t1:5")),
+        ("thread t1\nw x 1\nrf t1:0 t1:0\nw x 2\n", (3, "rf target t1:0 is not a read")),
+        ("thread t\nw x! y\n", (2, "malformed integer 'y'")),
+        ("thread t\nw x 1\nrf t:0 t:x\n", (3, "malformed integer 'x'")),
     ]
     for text, error in cases:
         assert _outcome(parse_trace, text)[1] == error
-        assert _outcome(reference_traceio.parse_trace, text)[1] == error
+        assert _first_error(text) == error
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
