@@ -245,12 +245,18 @@ def _link(reach, coreach, heads: int, tails: int) -> tuple[int, int]:
     Returns (sources, targets) as they stood before: the events that reach
     a head or are one, and those a tail reaches or that are one.
     """
+    # every loop walks the bits inline: no generator per call or event
     sources, targets = heads, tails
-    for h in _bits(heads):
-        sources |= coreach[h]
-    for t in _bits(tails):
-        targets |= reach[t]
-    # the two hot loops walk the bits inline: no generator per event
+    rest = heads
+    while rest:
+        low = rest & -rest
+        sources |= coreach[low.bit_length() - 1]
+        rest ^= low
+    rest = tails
+    while rest:
+        low = rest & -rest
+        targets |= reach[low.bit_length() - 1]
+        rest ^= low
     rest = sources
     while rest:
         low = rest & -rest

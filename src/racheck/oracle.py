@@ -54,6 +54,32 @@ skipped: the search reaches the same leaves in the same order as a
 chronological one.  `oracle_consistent` takes the first leaf as its
 witness and `all_consistent_rfs` the rf of every leaf.
 
+The sets that reads return recur across branches, so the search stores
+them (nogood recording):
+
+ * each is a nogood: every prune's set alone forces its failure, and a
+   read's returned union covers each of its candidates, so by induction
+   no leaf keeps the writes that a returned set's reads hold;
+ * a read that runs out of candidates stores its set when the set names
+   only depths shallower than the read's and not every one of them.  A
+   failed or yielded leaf blames every depth, so a set that rests on a
+   leaf never qualifies, and the whole prefix never recurs;
+ * depth d always holds the read `order[d]`, so a set is stored under
+   its deepest (depth, write), with the writes of its other depths.  A
+   candidate that completes a stored set, every other depth holding the
+   write stored for it, is pruned before the porf test, and the set is
+   its conflict set.  The pairs are compared deepest first, as deep
+   assignments change most often;
+ * only sets of at most `_MAX_STORED_READS` (8) reads are kept.
+   Unbounded, the consistent 300-event `rlx-acyclic` search of
+   `GenParams(1001, 6, 12, 300, 3, 2, recent=1)` stores 11,081 sets of
+   about 17 reads and scans 7.5 M of them for 2 prunes, at up to twice
+   the time; the bound keeps every prune of the benchmark's
+   multi-writer inputs, whose stored sets have a median of 5 reads.
+
+Stored sets prune only subtrees without leaves too, so the leaves and
+their order stay.
+
 At a leaf rf is fixed, and every mo axiom then only forces some write of
 a location before another, so `_first_mo` builds the lexicographically
 first valid mo as a topological sort in polynomial time.
@@ -93,6 +119,8 @@ from .model import (
 EXHAUSTED = "exhausted"
 
 _Leaf = tuple[ReadsFrom, ModificationOrder | None]  # an accepted leaf: rf, its first mo
+
+_MAX_STORED_READS = 8  # the largest conflict set the search stores, in reads
 
 
 class BudgetExceeded(Exception):
@@ -184,6 +212,11 @@ class _Search:
         self.check_ob = base is MemoryModel.CM
         self.rf_nodes = 0  # candidates tried, the `max_rf_candidates` budget
         self.backjumps = 0  # returns that skipped a read's remaining candidates
+        self.learned_prunes = 0  # candidates pruned by a stored conflict set
+        # per depth: write -> [(stored set, its other (depth, write) pairs)]
+        self.learned: list[dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]]] = [
+            {} for _ in self.order
+        ]
         self.assigned_reads: list[tuple[int, int, int]] = []  # (read, write, var mask)
 
     def _forces_mo_cycle(self, r: int, w: int, var_mask: int) -> bool:
@@ -277,91 +310,125 @@ class _Search:
     def leaves(self) -> Iterator[_Leaf]:
         """Each accepted leaf, in search order; mo is None when the model
         reads none."""
+        yield from self._descend(0)
+
+    def _leaf(self) -> _Leaf | None:
+        """The current full assignment as an accepted leaf; None if it fails."""
         enc = self.enc
-        every_depth = (1 << len(self.order)) - 1
+        src = [-1] * len(enc.events)  # `number_rf`'s form
+        for r, w, _ in self.assigned_reads:
+            src[r] = w
+        mo: ModificationOrder | None = None
+        if self.check_ob:
+            hb = _HbIndex(enc.reach, enc.coreach)
+            if _check_axiom(self.g, src, None, Axiom.OB_ACYCLICITY, hb) is not None:
+                return None
+        if model_needs_mo(self.model):
+            mo = _first_mo(self.g, enc, src, self.model)
+            if mo is None:
+                return None
+        return reads_from(self.g, src), mo
 
-        def leaf() -> _Leaf | None:
-            src = [-1] * len(enc.events)  # `number_rf`'s form
-            for r, w, _ in self.assigned_reads:
-                src[r] = w
-            mo: ModificationOrder | None = None
-            if self.check_ob:
-                hb = _HbIndex(enc.reach, enc.coreach)
-                if _check_axiom(self.g, src, None, Axiom.OB_ACYCLICITY, hb) is not None:
-                    return None
-            if model_needs_mo(self.model):
-                mo = _first_mo(self.g, enc, src, self.model)
-                if mo is None:
-                    return None
-            return reads_from(self.g, src), mo
+    def _learn(self, nogood: int) -> None:
+        """Store a returned conflict set under its deepest (depth, write),
+        with the (depth, write) pairs of its other depths, deepest first."""
+        assigned = self.assigned_reads
+        pairs = []
+        rest = nogood
+        while rest:
+            d = rest.bit_length() - 1
+            pairs.append((d, assigned[d][1]))
+            rest ^= 1 << d
+        deepest, w = pairs[0]
+        self.learned[deepest].setdefault(w, []).append((nogood, tuple(pairs[1:])))
 
-        def descend(depth: int) -> Generator[_Leaf, None, int]:
-            """Yield the leaves below; return the conflict set, the mask of
-            the shallower depths whose assignments alone leave this subtree
-            without a further leaf."""
-            if depth == len(self.order):
-                # A failed leaf, and a leaf resumed after it was yielded,
-                # blame every depth: the search backtracks chronologically.
-                found = leaf()
-                if found is not None:
-                    yield found
-                return every_depth
-            r, matches = self.order[depth]
-            var_mask = enc.var_write_mask[enc.events[r].var]
-            me = 1 << depth
-            conflicts = 0
-            for k, w in enumerate(matches):
-                self.rf_nodes += 1
-                if self.rf_nodes > self.limits.max_rf_candidates:
-                    raise BudgetExceeded(
-                        "max_rf_candidates", self.limits.max_rf_candidates
-                    )
-                if self.prune_porf and enc.reach[r] >> w & 1:
-                    # r reaches w: the cycle runs r ->* w -> r, found
-                    # before the edge is added.  It rests on r, so it
-                    # never jumps past r.
-                    conflicts |= self._path(r, w)
-                    continue
-                reach_snap = list(enc.reach)
-                coreach_snap = list(enc.coreach)
-                if self.prune_relaxed:
-                    mo_snap = list(enc.mo_reach), list(enc.mo_coreach)
-                _, targets = _link(enc.reach, enc.coreach, 1 << w, 1 << r)
-                self.assigned_reads.append((r, w, var_mask))
-                # Every prune's conflict set holds the depth of at least
-                # one assigned read, so 0 means "not pruned".
-                conflict = 0
-                if self.prune_weakrc:
-                    # Every node checks all assigned reads, so a violation
-                    # w_q ->+ w2 ->+ q runs through the new edge w -> r,
-                    # and r reached q before it: on w2 ->+ q, or on w_q ->+
-                    # w2 and then on w2 ->+ q.
-                    for q_depth, (q, wq, qmask) in enumerate(self.assigned_reads):
-                        if targets >> q & 1:
-                            between = enc.reach[wq] & enc.coreach[q] & qmask
-                            if between:
-                                conflict = 1 << q_depth | self._incoherence(q, wq, between)
-                                break
-                if not conflict and self.prune_relaxed and self._forces_mo_cycle(r, w, var_mask):
-                    conflict = self._depths_of_location(var_mask)
-                if not conflict:
-                    conflict = yield from descend(depth + 1)
-                # undo
-                self.assigned_reads.pop()
-                enc.reach = reach_snap
-                enc.coreach = coreach_snap
-                if self.prune_relaxed:
-                    enc.mo_reach, enc.mo_coreach = mo_snap
-                if not conflict & me:
-                    # the failure does not depend on this read: no other
-                    # candidate can help, so jump back past it
-                    if k + 1 < len(matches):
-                        self.backjumps += 1
-                    return conflict
-                conflicts |= conflict
-            return conflicts & ~me
+    def _descend(self, depth: int) -> Generator[_Leaf, None, int]:
+        """Yield the leaves below; return the conflict set, the mask of
+        the shallower depths whose assignments alone leave this subtree
+        without a further leaf."""
+        if depth == len(self.order):
+            # A failed leaf, and a leaf resumed after it was yielded,
+            # blame every depth: the search backtracks chronologically.
+            found = self._leaf()
+            if found is not None:
+                yield found
+            return (1 << depth) - 1
+        enc = self.enc
+        assigned = self.assigned_reads
+        learned = self.learned[depth]
+        r, matches = self.order[depth]
+        var_mask = enc.var_write_mask[enc.events[r].var]
+        me = 1 << depth
+        conflicts = 0
+        for k, w in enumerate(matches):
+            self.rf_nodes += 1
+            if self.rf_nodes > self.limits.max_rf_candidates:
+                raise BudgetExceeded("max_rf_candidates", self.limits.max_rf_candidates)
+            if learned and w in learned and (stored := self._stored(learned[w])):
+                self.learned_prunes += 1
+                conflicts |= stored
+                continue
+            if self.prune_porf and enc.reach[r] >> w & 1:
+                # r reaches w: the cycle runs r ->* w -> r, found
+                # before the edge is added.  It rests on r, so it
+                # never jumps past r.
+                conflicts |= self._path(r, w)
+                continue
+            reach_snap = list(enc.reach)
+            coreach_snap = list(enc.coreach)
+            if self.prune_relaxed:
+                mo_snap = list(enc.mo_reach), list(enc.mo_coreach)
+            _, targets = _link(enc.reach, enc.coreach, 1 << w, 1 << r)
+            assigned.append((r, w, var_mask))
+            # Every prune's conflict set holds the depth of at least
+            # one assigned read, so 0 means "not pruned".
+            conflict = 0
+            if self.prune_weakrc:
+                # Every node checks all assigned reads, so a violation
+                # w_q ->+ w2 ->+ q runs through the new edge w -> r,
+                # and r reached q before it: on w2 ->+ q, or on w_q ->+
+                # w2 and then on w2 ->+ q.
+                for q_depth, (q, wq, qmask) in enumerate(assigned):
+                    if targets >> q & 1:
+                        between = enc.reach[wq] & enc.coreach[q] & qmask
+                        if between:
+                            conflict = 1 << q_depth | self._incoherence(q, wq, between)
+                            break
+            if not conflict and self.prune_relaxed and self._forces_mo_cycle(r, w, var_mask):
+                conflict = self._depths_of_location(var_mask)
+            if not conflict:
+                conflict = yield from self._descend(depth + 1)
+            # undo
+            assigned.pop()
+            enc.reach = reach_snap
+            enc.coreach = coreach_snap
+            if self.prune_relaxed:
+                enc.mo_reach, enc.mo_coreach = mo_snap
+            if not conflict & me:
+                # the failure does not depend on this read: no other
+                # candidate can help, so jump back past it
+                if k + 1 < len(matches):
+                    self.backjumps += 1
+                return conflict
+            conflicts |= conflict
+        nogood = conflicts & ~me
+        # Below `me` and not all of it: no leaf blamed it, and it can recur.
+        if 0 < nogood < me - 1 and nogood.bit_count() <= _MAX_STORED_READS:
+            self._learn(nogood)
+        return nogood
 
-        yield from descend(0)
+    def _stored(self, sets: list[tuple[int, tuple[tuple[int, int], ...]]]) -> int:
+        """The first stored set that the current assignment completes, as
+        its conflict set; 0 if none.  Deep assignments change most often,
+        so each set's pairs are compared deepest first."""
+        assigned = self.assigned_reads
+        for nogood, others in sets:
+            for d, w in others:
+                if assigned[d][1] != w:
+                    break
+            else:
+                return nogood
+        return 0
 
 
 def _first_mo(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 from unittest import mock
 
@@ -27,11 +28,13 @@ from racheck import (
 )
 from racheck import axioms, oracle
 from racheck.axioms import Axiom, check_axiom, model_needs_mo, replay_certificate
+from racheck.cli import build_parser, main
 from racheck.harness import FuzzParams
-from racheck.model import reads_from
+from racheck.model import number_rf, reads_from
 from racheck.oracle import EXHAUSTED, _Search
 from racheck.reductions import CnfFormula
 from racheck.solver import RF_TOTALITY
+from racheck.traceio import TraceDocument, serialize_trace
 
 import fixtures as fx
 from reference_oracle import (
@@ -476,26 +479,33 @@ def test_oracle_cases_reach_budgets_and_backjumps():
         lambda case: _outcome(_Search, *case, True)[1].backjumps > 0,
         settings=cfg,
     )
+    find(
+        oracle_cases(),
+        lambda case: _outcome(_Search, *case, False)[1].learned_prunes > 0,
+        settings=cfg,
+    )
 
 
 def test_backjumping_decides_eight_pattern_formula():
     # The chronological search exhausts a 1,000,000-node budget on this
-    # gadget; backjumping proves it inconsistent in 8,247 nodes (64,892
-    # when each prune blamed every path).
+    # gadget; backjumping with stored conflict sets proves it inconsistent
+    # in 731 nodes (8,247 and 3,150 backjumps without the store, 64,892
+    # nodes when each prune blamed every path).
     g = cnf_to_twowriter_relaxed(EIGHT_PATTERNS)
     search = _Search(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits(max_rf_candidates=200_000))
     assert list(search.leaves()) == []
-    assert (search.rf_nodes, search.backjumps) == (8_247, 3_150)
+    assert (search.rf_nodes, search.backjumps) == (731, 202)
 
 
 def test_backjumps_counted_on_unsat_relaxed_gadget():
-    # 577 nodes and 154 backjumps (966 and 251 when each prune blamed
-    # every path) against the chronological search's 13,725 nodes
+    # 225 nodes and 46 backjumps (577 and 154 without stored conflict
+    # sets, 966 and 251 when each prune blamed every path) against the
+    # chronological search's 13,725 nodes
     g = cnf_to_twowriter_relaxed(CnfFormula(2, tuple(sign_patterns(2, 1, 0))))
     search = _Search(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
     reference = ChronologicalSearch(g, MemoryModel.RELAXED_ACYCLIC, OracleLimits())
     assert list(search.leaves()) == list(reference.leaves()) == []
-    assert (search.rf_nodes, search.backjumps) == (577, 154)
+    assert (search.rf_nodes, search.backjumps) == (225, 46)
     assert (reference.rf_nodes, reference.backjumps) == (13_725, 0)
 
 
@@ -567,6 +577,40 @@ def test_eight_pattern_conflict_sets_are_nogoods():
     assert _replay_prunes(g, MemoryModel.RELAXED_ACYCLIC, limits) == {Axiom.PORF_ACYCLICITY}
     g = cnf_to_twowriter(EIGHT_PATTERNS)
     assert _replay_prunes(g, MemoryModel.RA, limits) == {Axiom.WEAK_READ_COHERENCE}
+
+
+class _LearnRecorder(_Search):
+    """Records each stored conflict set as the partial rf it names on the
+    numbering, read -> write."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stored = []
+
+    def _learn(self, nogood):
+        super()._learn(nogood)
+        assigned = self.assigned_reads
+        self.stored.append({assigned[d][0]: assigned[d][1] for d in axioms._bits(nogood)})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+def test_stored_conflict_sets_are_nogoods(case):
+    # No consistent rf agrees with a stored set on every read it names:
+    # the chronological search, run to the end, reaches no such leaf.
+    g, m, limits = case
+    search = _LearnRecorder(g, m, limits)
+    try:
+        list(search.leaves())
+    except BudgetExceeded:
+        pass  # the sets stored so far were recorded
+    if not search.stored:
+        return
+    reference = ChronologicalSearch(g, m, OracleLimits(max_rf_candidates=10**6))
+    for rf, _ in reference.leaves():
+        src = number_rf(g, rf)
+        for partial in search.stored:
+            assert any(src[r] != w for r, w in partial.items()), partial
 
 
 def test_oracle_builds_one_reads_from_per_recorded_leaf(monkeypatch):
@@ -852,3 +896,46 @@ def test_sra_mo_avoids_cycles_through_earlier_locations():
         verdict = oracle_consistent(g, m)
         assert verdict.mo == mo, m
         assert verify(g, verdict.rf, mo, m).is_consistent, m
+
+
+# ---------------------------------------------------------------------------
+# Reference counting frees every call
+# ---------------------------------------------------------------------------
+
+
+def test_entry_points_leave_no_cyclic_garbage(tmp_path):
+    # Each call frees what it built by reference counting alone, so the
+    # cyclic collector finds nothing once it returns.
+    sat = cnf_to_twowriter(fx.two_clause_formula())
+    unsat = cnf_to_twowriter_relaxed(CnfFormula(2, tuple(sign_patterns(2, 1, 0))))
+    witness = oracle_consistent(sat, MemoryModel.RA)
+    trace = tmp_path / "sat.trace"
+    trace.write_text(serialize_trace(TraceDocument(sat)))
+
+    def budget_exceeded():
+        try:
+            oracle_consistent(unsat, MemoryModel.RELAXED_ACYCLIC, OracleLimits(max_rf_candidates=30))
+        except BudgetExceeded:
+            return True
+        return False
+
+    calls = {
+        "witness": lambda: oracle_consistent(sat, MemoryModel.RA).is_consistent,
+        "exhausted": lambda: not oracle_consistent(unsat, MemoryModel.RELAXED_ACYCLIC).is_consistent,
+        "budget": budget_exceeded,
+        "all_consistent_rfs": lambda: len(all_consistent_rfs(sat, MemoryModel.RA)) > 0,
+        "solve": lambda: solve(fx.single_writer_consistent(), MemoryModel.WRA)[0].is_consistent,
+        "verify": lambda: verify(sat, witness.rf, witness.mo, MemoryModel.RA).is_consistent,
+        "check": lambda: main(["check", "--model", "ra", "--input", str(trace), "--witness", "-"]) == 0,
+    }
+    build_parser()  # built once per process; argparse's own formatters are cyclic
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            gc.collect()
+            assert call(), name
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
