@@ -72,12 +72,11 @@ def _print_verdict(verdict: Verdict) -> None:
 
 def _format_solver_trace(trace: SolverTrace) -> str:
     lines = []
-    for i, it in enumerate(trace.iterations):
-        v = it.violation
+    for i, v in enumerate(trace.iterations):
         via = f" via {v.via_read}" if v.via_read is not None else ""
         lines.append(
             f"update {i + 1}: read {v.read} from {v.write} blocked by {v.blocker}{via}"
-            f" -> {it.replacement}"
+            f" -> {v.replacement}"
         )
     lines.append(f"updates {len(trace.iterations)}")
     return "\n".join(lines) + "\n"
@@ -131,7 +130,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     verdict = oracle_consistent(doc.graph, model, limits)
     _print_verdict(verdict)
     if args.all_rf:
-        rfs = all_consistent_rfs(doc.graph, model, limits)
+        # an inconsistent verdict has exhausted the search: no rf is left
+        rfs = all_consistent_rfs(doc.graph, model, limits) if verdict.is_consistent else []
         print(f"consistent rf count: {len(rfs)}")
         for rf in rfs:
             pairs = " ".join(f"{rid}<-{wid}" for rid, wid in rf.items())

@@ -161,10 +161,12 @@ class Numbering:
     that order.  `reads` lists the read numbers ascending, `var_writes`
     each location's writes ascending, and `write_mask` has their bits set.
     Built with the graph, in one pass over its events; only `ids`
-    (`ids[i]` is `events[i].id`) and `matches` are built on first use,
-    `matches[(var, val)]` being the writes, ascending, that a read of
-    `var` with value `val` may take.  `unmatched_read` states rf-totality
-    on it.  Shared by every engine, so never mutated.
+    (`ids[i]` is `events[i].id`), `matches` and `max_writers` are built on
+    first use, `matches[(var, val)]` being the writes, ascending, that a
+    read of `var` with value `val` may take, and `max_writers` the largest
+    number of threads that write one location (the 1-, 2- or 3-writer
+    class).  `unmatched_read` states rf-totality on it.  Shared by every
+    engine, so never mutated.
     """
 
     def __init__(self, g: PartialExecutionGraph):
@@ -201,6 +203,11 @@ class Numbering:
             for w in writes:
                 out.setdefault((var, self.events[w].val), []).append(w)
         return out
+
+    @cached_property
+    def max_writers(self) -> int:
+        thread_of = self.thread_of
+        return max((len({thread_of[w] for w in ws}) for ws in self.var_writes.values()), default=0)
 
     def unmatched_read(self) -> EventId | None:
         """The rf-totality rule, for both engines: the first read in id
@@ -301,11 +308,7 @@ def writer_profile(g: PartialExecutionGraph) -> dict[str, set[str]]:
 
 def max_writers(g: PartialExecutionGraph) -> int:
     """The largest number of threads that write one location."""
-    thread_of = g.numbering.thread_of
-    return max(
-        (len({thread_of[w] for w in writes}) for writes in g.numbering.var_writes.values()),
-        default=0,
-    )
+    return g.numbering.max_writers
 
 
 @dataclass(frozen=True)

@@ -234,12 +234,7 @@ class UndirectedGraph:
 
     @classmethod
     def from_edges(cls, num_vertices: int, pairs) -> "UndirectedGraph":
-        normalized = set()
-        for u, v in pairs:
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
-            normalized.add((min(u, v), max(u, v)))
-        return cls(num_vertices, frozenset(normalized))
+        return cls(num_vertices, frozenset((min(u, v), max(u, v)) for u, v in pairs))
 
     def neighbors(self, v: int) -> list[int]:
         out = []

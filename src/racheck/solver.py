@@ -32,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .axioms import Axiom
 from .model import (
@@ -57,34 +58,30 @@ class NotOneWriter(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One coherence violation: the read, its current write, the blocking
-    po-later write, and (relaxed mode only) the po-earlier read observing
-    the blocker; None marks the blocker itself sitting po-before the read."""
+class Violation(NamedTuple):
+    """One read the solver raised, or found it cannot raise: the read, its
+    current write, the blocking po-later write, (relaxed mode only) the
+    po-earlier read observing the blocker, None marking the blocker itself
+    sitting po-before the read, and the write the read took, None when no
+    write qualifies."""
 
     read: EventId
     write: EventId
     blocker: EventId
     via_read: EventId | None = None
-
-
-@dataclass(frozen=True)
-class SolverIteration:
-    violation: Violation
-    replacement: EventId
+    replacement: EventId | None = None
 
 
 @dataclass
 class SolverTrace:
-    """What `solve` did to rf: one iteration per read it raised above its
+    """What `solve` did to rf: one Violation per read it raised above its
     initial binding (the violation's `write`); the blocker is the lower
     bound that forced the raise, and the replacement the write it took.
     `final_rf` is the rf the solver ended on (None only when some read has
     no matching write at all); a read stuck on a cycle holds the write it
     waits for, so certificates replay against it."""
 
-    iterations: list[SolverIteration] = field(default_factory=list)
+    iterations: list[Violation] = field(default_factory=list)
     final_rf: ReadsFrom | None = None
 
     @property
@@ -101,9 +98,9 @@ def derive_mo(g: PartialExecutionGraph) -> ModificationOrder:
     """The forced modification order: per location, its single writer
     thread's writes in program order."""
     _require_one_writer(g)
-    return ModificationOrder(
-        {var: [w.id for w in writes] for var, writes in g.writes_by_var.items()}
-    )
+    num = g.numbering
+    ids = num.ids
+    return ModificationOrder({var: [ids[w] for w in ws] for var, ws in num.var_writes.items()})
 
 
 def _blocked_certificate(v: Violation) -> list[tuple[EventId, str]]:
@@ -137,21 +134,19 @@ def _raise_read(
     """
     if lo <= rf[r]:
         return None
-    events = num.events
-    violation = Violation(
-        read=events[r].id,
-        write=events[rf[r]].id,
-        blocker=events[lo].id,
-        via_read=events[via].id if via >= 0 else None,
-    )
-    writes = num.matches[events[r][2:]]  # (var, val); rf[r] is one of them
+    writes = num.matches[num.events[r][2:]]  # (var, val); rf[r] is one of them
     j = bisect_left(writes, lo)
     w = writes[j] if j < len(writes) else -1
-    if w < 0 or not relaxed and w >= r and num.thread_of[w] == num.thread_of[r]:
+    blocked = w < 0 or not relaxed and w >= r and num.thread_of[w] == num.thread_of[r]
+    ids = num.ids
+    v = Violation(
+        ids[r], ids[rf[r]], ids[lo], ids[via] if via >= 0 else None, None if blocked else ids[w]
+    )
+    if blocked:
         axiom = Axiom.RELAXED_READ_COHERENCE if relaxed else Axiom.WEAK_READ_COHERENCE
-        return Verdict.inconsistent(axiom.value, _blocked_certificate(violation))
+        return Verdict.inconsistent(axiom.value, _blocked_certificate(v))
     rf[r] = w
-    trace.iterations.append(SolverIteration(violation, events[w].id))
+    trace.iterations.append(v)
     return None
 
 

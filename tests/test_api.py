@@ -102,6 +102,22 @@ def test_first_mo_parameters():
     assert list(params) == ["g", "enc", "rf", "model"]
 
 
+# `bench/run.py` counts `solver.repairs` from `solve(...)[1].update_count`,
+# and `bench/checks.py` checks the solver against `solve(...)[1].final_rf`.
+def test_solver_trace_names():
+    g = racheck.build_graph(
+        [
+            ("t1", [("w", "x", 1), ("w", "x", 1), ("w", "y", 1)]),
+            ("t2", [("r", "y", 1), ("r", "x", 1)]),
+        ]
+    )
+    trace = racheck.solve(g, racheck.MemoryModel.WRA)[1]
+    assert trace.update_count == 1
+    assert trace.final_rf is not None
+    fields = ("read", "write", "blocker", "via_read", "replacement")
+    assert racheck.Violation._fields == fields
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names a module imports and never reads (a name only in a string,
     such as a quoted annotation, counts as unread)."""

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from racheck import axioms, solve, verify
+from racheck import axioms, cli, solve, verify
 from racheck.cli import build_parser, main
 from racheck.model import MemoryModel
 from racheck.traceio import parse_trace, serialize_trace, TraceDocument
@@ -258,6 +258,18 @@ def test_oracle_all_rf(workdir, capsys):
     assert code == 0
     assert "consistent rf count: 1" in out
     assert "t3:1<-t1:3" in out
+
+
+def test_oracle_all_rf_skips_search_when_inconsistent(workdir, capsys, monkeypatch):
+    # an inconsistent verdict has exhausted the search, so no second one runs
+    calls = []
+    monkeypatch.setattr(cli, "all_consistent_rfs", lambda *args: calls.append(args) or [])
+    code = main(["oracle", "--model", "wra", "--input", str(workdir / "fig3.trace"), "--all-rf"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert calls == []
+    assert out.startswith("INCONSISTENT ")
+    assert out.endswith("consistent rf count: 0\n")
 
 
 def test_oracle_budget_exit(workdir, capsys):

@@ -20,6 +20,7 @@ from racheck import (
 )
 from racheck.axioms import Axiom, check_axiom, replay_certificate
 from racheck.harness import FuzzParams
+from racheck.model import Numbering
 from racheck.solver import RF_TOTALITY, Violation
 
 import fixtures as fx
@@ -66,6 +67,24 @@ def test_derive_mo_orders_by_program_order():
 def test_derive_mo_single_write():
     g = build_graph([("t", [("w", "x", 1)])])
     assert derive_mo(g).per_var == {"x": [E("t", 0)]}
+
+
+def test_writer_bound_computed_once(monkeypatch):
+    # solve and derive_mo each check the writer bound, and both read the
+    # one value the numbering caches.
+    g = fx.single_writer_consistent()
+    assert "max_writers" not in g.numbering.__dict__
+    compute = Numbering.max_writers.func
+    calls = []
+
+    def counted(num):
+        calls.append(num)
+        return compute(num)
+
+    monkeypatch.setattr(Numbering.max_writers, "func", counted)
+    assert solve(g, MemoryModel.WRA)[0].is_consistent
+    derive_mo(g)
+    assert calls == [g.numbering]
 
 
 def test_derive_mo_rejects_two_writers():
@@ -257,11 +276,11 @@ def test_trace_monotone_and_bounded():
             continue
         rf = initialize_rf(g)
         for it in trace.iterations:
-            updated = update_rf(g, rf, it.violation)
+            updated = update_rf(g, rf, it)
             changed = {
                 r for r in rf.mapping if rf.mapping[r] != updated.mapping[r]
             }
-            assert changed == {it.violation.read}
+            assert changed == {it.read}
             assert rf_leq(rf, updated, g) and not rf_leq(updated, rf, g)
             rf = updated
         assert rf == trace.final_rf
@@ -378,8 +397,8 @@ def test_solve_matches_repair_loop(g):
         assert replay_certificate(g, verdict.certificate, trace.final_rf, derive_mo(g)), m
         rf = initialize_rf(g)
         for it in trace.iterations:
-            rf = update_rf(g, rf, it.violation, _coherence_mode(m))
-            assert rf.mapping[it.violation.read] == it.replacement
+            rf = update_rf(g, rf, it, _coherence_mode(m))
+            assert rf.mapping[it.read] == it.replacement
         assert rf == trace.final_rf
 
 
