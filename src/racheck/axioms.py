@@ -7,8 +7,9 @@ certificate: labelled edges that replay to the violating cycle.
 
 The checks work on event numbers.  Each public entry point numbers its
 rf and mo once, on the graph's numbering (`number_rf`, `number_mo`),
-and everything below it reads those numbers; EventIds are made only for
-the certificates, `ObRelation` and the witnesses a verdict echoes.
+and everything below it reads those numbers; `racheck verify` hands
+`_verify` the numbers its parse made instead.  EventIds are made only
+for the certificates, `ObRelation` and the witnesses a verdict echoes.
 """
 
 from __future__ import annotations
@@ -470,16 +471,13 @@ def _thread_orders(g: PartialExecutionGraph, src: list[int], hb: _HbIndex):
 # ---------------------------------------------------------------------------
 
 
-def _check_mo(g: PartialExecutionGraph, mo: ModificationOrder | None, needed_by: str | None):
-    """Validate and number a given mo (`number_mo`); when `needed_by` (an
-    axiom or a model) reads mo, require one that covers every written
-    location."""
-    if needed_by is not None and mo is None:
+def _require_mo(g: PartialExecutionGraph, mo: ModificationOrder | None, needed_by: str) -> None:
+    """Raise MissingMo unless mo is given and covers every written
+    location; `needed_by` names the axiom or model that reads it."""
+    if mo is None:
         raise MissingMo(f"{needed_by} needs a modification order")
-    numbered = None if mo is None else number_mo(g, mo)
-    if needed_by is not None and not mo.covers(g):
+    if not mo.covers(g):
         raise MissingMo("modification order does not cover every written location")
-    return numbered
 
 
 def check_axiom(
@@ -496,7 +494,9 @@ def check_axiom(
     and an axiom that reads mo needs one that covers every written
     location (MissingMo).
     """
-    numbered_mo = _check_mo(g, mo, f"axiom {ax.value}" if ax in MO_AXIOMS else None)
+    numbered_mo = None if mo is None else number_mo(g, mo)
+    if ax in MO_AXIOMS:
+        _require_mo(g, mo, f"axiom {ax.value}")
     src = number_rf(g, rf)
     return _check_axiom(g, src, numbered_mo, ax, _hb_index(g, src) if ax in HB_AXIOMS else None)
 
@@ -628,11 +628,34 @@ def verify(
     Returns a Consistent verdict echoing the witnesses, or the first
     violation in the model's check order.  Given a `report`, every axiom
     is checked once and its certificate (None when it holds) is stored
-    under it; the verdict is still the first violation.
+    under it; the verdict is still the first violation.  rf must map
+    exactly the reads (InvalidRf), a given mo must be valid (ModelError),
+    and a model that reads mo needs one that covers every written
+    location (MissingMo).
     """
     rf._check_domain(g)
     src = number_rf(g, rf)  # validates each rf edge
-    numbered_mo = _check_mo(g, mo, f"model {m.value}" if model_needs_mo(m) else None)
+    numbered_mo = None if mo is None else number_mo(g, mo)
+    return _verify(g, rf, mo, src, numbered_mo, m, report)
+
+
+def _verify(
+    g: PartialExecutionGraph,
+    rf: ReadsFrom,
+    mo: ModificationOrder | None,
+    src: list[int],
+    numbered_mo,
+    m: MemoryModel,
+    report: dict[Axiom, list[tuple[EventId, str]] | None] | None = None,
+) -> Verdict:
+    """`verify` on witnesses that are already validated and numbered:
+    `src` is rf in `number_rf`'s form and `numbered_mo` mo in
+    `number_mo`'s (None or unread when the model reads no mo).  Every key
+    of rf is a read, so the domain check is a count."""
+    if len(rf.mapping) != len(g.reads):
+        rf._check_domain(g)
+    if model_needs_mo(m):
+        _require_mo(g, mo, f"model {m.value}")
     verdict = None
     # hb models check porf first: without a report a cyclic rf stops there
     hb = _hb_index(g, src, report is None) if HB_AXIOMS.intersection(axioms_for(m)) else None

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .axioms import MissingMo, verify
+from .axioms import MissingMo, _verify
 from .harness import FuzzParams, InvalidParams, differential_run
 from .model import MemoryModel, ModelError, ModificationOrder, ReadsFrom, Verdict, max_writers
 from .oracle import DEFAULT_LIMITS, BudgetExceeded, all_consistent_rfs, oracle_consistent
@@ -31,6 +31,7 @@ from .solver import SolverTrace, solve
 from .traceio import (
     ParseError,
     TraceDocument,
+    _parse,
     parse_dimacs,
     parse_edgelist,
     parse_trace,
@@ -103,7 +104,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     model = MemoryModel(args.model)
-    doc = parse_trace(_read_input(args.input))
+    # the parse validates and numbers rf and mo, and `_verify` reads its numbers
+    doc, src, numbered_mo = _parse(_read_input(args.input))
     rf = doc.rf
     if rf is None:
         if doc.graph.reads:
@@ -114,7 +116,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if mo is None and not doc.graph.writes_by_var:
         mo = ModificationOrder({})  # and one without writes the empty mo
     report: dict = {}
-    verdict = verify(doc.graph, rf, mo, model, report)
+    verdict = _verify(doc.graph, rf, mo, src, numbered_mo, model, report)
     for ax, cert in report.items():
         print(f"{ax.value}: {'FAIL' if cert else 'pass'}")
     _print_verdict(verdict)

@@ -161,26 +161,25 @@ class Numbering:
     that order.  `reads` lists the read numbers ascending, `var_writes`
     each location's writes ascending, and `write_mask` has their bits set.
     Built with the graph, in one pass over its events; only `ids`
-    (`ids[i]` is `events[i].id`), `matches` and `max_writers` are built on
-    first use, `matches[(var, val)]` being the writes, ascending, that a
-    read of `var` with value `val` may take, and `max_writers` the largest
-    number of threads that write one location (the 1-, 2- or 3-writer
-    class).  `unmatched_read` states rf-totality on it.  Shared by every
-    engine, so never mutated.
+    (`ids[i]` is `events[i].id`), `index` (its inverse, EventId ->
+    number), `matches` and `max_writers` are built on first use,
+    `matches[(var, val)]` being the writes, ascending, that a read of
+    `var` with value `val` may take, and `max_writers` the largest number
+    of threads that write one location (the 1-, 2- or 3-writer class).
+    `unmatched_read` states rf-totality on it.  Shared by every engine, so
+    never mutated.
     """
 
     def __init__(self, g: PartialExecutionGraph):
         self.events: list[Event] = []
-        self.index: dict[EventId, int] = {}
         self.thread_of: list[int] = []
         self.spans: list[tuple[int, int]] = []
         self.reads: list[int] = []
         self.var_writes: dict[str, list[int]] = {}
-        index, reads, var_writes = self.index, self.reads, self.var_writes
+        reads, var_writes = self.reads, self.var_writes
         for t, tid in enumerate(sorted(g.thread_ids)):
             evs, start = g.events_of[tid], len(self.events)
             for i, ev in enumerate(evs, start):
-                index[ev.id] = i
                 if ev.op == WRITE:
                     var_writes.setdefault(ev.var, []).append(i)
                 else:
@@ -195,6 +194,10 @@ class Numbering:
     @cached_property
     def ids(self) -> list[EventId]:
         return [ev.id for ev in self.events]
+
+    @cached_property
+    def index(self) -> dict[EventId, int]:
+        return dict(zip(self.ids, range(len(self.events))))
 
     @cached_property
     def matches(self) -> dict[tuple[str, int], list[int]]:

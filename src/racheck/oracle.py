@@ -218,11 +218,16 @@ class _Search:
             {} for _ in self.order
         ]
         self.assigned_reads: list[tuple[int, int, int]] = []  # (read, write, var mask)
+        # Under the relaxed models, per location: the mask of the depths
+        # whose reads are assigned, and their (read, write) pairs.
+        self.location_depths = dict.fromkeys(num.var_writes, 0)
+        self.location_pairs: dict[str, list[tuple[int, int]]] = {v: [] for v in num.var_writes}
 
-    def _forces_mo_cycle(self, r: int, w: int, var_mask: int) -> bool:
+    def _forces_mo_cycle(self, r: int, w: int, var_mask: int, pairs: list[tuple[int, int]]) -> bool:
         """Add the write order forced by r taking w; True iff it is cyclic.
 
-        The writes of r's location po-before r, and those taken by assigned
+        `pairs` are the assigned (read, write) pairs of r's location.  The
+        writes of the location po-before r, and those taken by assigned
         reads of it po-before r, precede w; the writes taken by such reads
         po-after r follow it.  Every new edge ends at w or starts at it, so
         a new cycle passes through w.
@@ -231,12 +236,11 @@ class _Search:
         before = enc.po_before
         heads = before[r] & var_mask
         tails = 0
-        for q, wq, qmask in self.assigned_reads:
-            if qmask == var_mask:
-                if before[r] >> q & 1:
-                    heads |= 1 << wq
-                elif before[q] >> r & 1:
-                    tails |= 1 << wq
+        for q, wq in pairs:
+            if before[r] >> q & 1:
+                heads |= 1 << wq
+            elif before[q] >> r & 1:
+                tails |= 1 << wq
         heads &= ~(1 << w)
         tails &= ~(1 << w)
         if heads:
@@ -298,13 +302,6 @@ class _Search:
         shallowest such set (as a mask) over those writes."""
         return min(self._path(wq, w2) | self._path(w2, q) for w2 in _bits(between))
 
-    def _depths_of_location(self, var_mask: int) -> int:
-        mask = 0
-        for depth, (_, _, qmask) in enumerate(self.assigned_reads):
-            if qmask == var_mask:
-                mask |= 1 << depth
-        return mask
-
     # -- search -----------------------------------------------------------
 
     def leaves(self) -> Iterator[_Leaf]:
@@ -357,7 +354,11 @@ class _Search:
         assigned = self.assigned_reads
         learned = self.learned[depth]
         r, matches = self.order[depth]
-        var_mask = enc.var_write_mask[enc.events[r].var]
+        var = enc.events[r].var
+        var_mask = enc.var_write_mask[var]
+        relaxed = self.prune_relaxed
+        if relaxed:
+            pairs = self.location_pairs[var]
         me = 1 << depth
         conflicts = 0
         for k, w in enumerate(matches):
@@ -376,8 +377,10 @@ class _Search:
                 continue
             reach_snap = list(enc.reach)
             coreach_snap = list(enc.coreach)
-            if self.prune_relaxed:
+            if relaxed:
                 mo_snap = list(enc.mo_reach), list(enc.mo_coreach)
+                pairs.append((r, w))
+                self.location_depths[var] |= me
             _, targets = _link(enc.reach, enc.coreach, 1 << w, 1 << r)
             assigned.append((r, w, var_mask))
             # Every prune's conflict set holds the depth of at least
@@ -394,16 +397,19 @@ class _Search:
                         if between:
                             conflict = 1 << q_depth | self._incoherence(q, wq, between)
                             break
-            if not conflict and self.prune_relaxed and self._forces_mo_cycle(r, w, var_mask):
-                conflict = self._depths_of_location(var_mask)
+            if not conflict and relaxed and self._forces_mo_cycle(r, w, var_mask, pairs):
+                # the forced order of the location rests on its reads alone
+                conflict = self.location_depths[var]
             if not conflict:
                 conflict = yield from self._descend(depth + 1)
             # undo
             assigned.pop()
             enc.reach = reach_snap
             enc.coreach = coreach_snap
-            if self.prune_relaxed:
+            if relaxed:
                 enc.mo_reach, enc.mo_coreach = mo_snap
+                pairs.pop()
+                self.location_depths[var] ^= me
             if not conflict & me:
                 # the failure does not depend on this read: no other
                 # candidate can help, so jump back past it

@@ -13,6 +13,12 @@ rf/mo lines must follow all thread blocks.  Serialization is canonical:
 threads in first-appearance order, rf lines sorted by reader, mo lines
 sorted by location; parse and serialize are mutually inverse.
 
+rf and mo are numbered once, in the scan: each rf/mo event id resolves
+straight to its event number on the graph's numbering, and the checks
+of each line run on those numbers.  `_parse` keeps them, in the forms of
+`number_rf` and `number_mo`, so `racheck verify` hands its witnesses to
+the axiom checks without validating or numbering them again.
+
 Every parser here raises the first error in line order, from the one
 scan that reads the line: a ParseError (line, reason), or NotThreeCnf or
 SelfLoop.  Within a trace line, its syntax is checked first (the token
@@ -84,22 +90,41 @@ def _parse_event_id(token: str, lineno: int) -> EventId:
     return _tuple(EventId, (thread, _parse_int(idx, lineno)))
 
 
+def _resolve(token: str, lineno: int, table: dict[str, int]) -> int:
+    """The event number of an rf/mo event-id token that is not canonical
+    (`t1:01` and `t1:+1` name `t1:1`), -1 for an unknown event; a malformed
+    token raises."""
+    thread, index = _parse_event_id(token, lineno)
+    return table.get(f"{thread}:{index}", -1)
+
+
 def parse_trace(text: str) -> TraceDocument:
     """Parse a trace in one scan of its lines, which builds the events.
 
     The first rf or mo line builds the graph; each rf/mo line is resolved
-    against its numbering as it is read.  Each distinct name, value and
-    rf/mo event-id token is checked once.
+    to event numbers, and checked, as it is read.  Each distinct name and
+    value token is checked once.
+    """
+    return _parse(text)[0]
+
+
+def _parse(text: str) -> tuple[TraceDocument, list[int], tuple[dict[str, list[int]], list[int]]]:
+    """`parse_trace`'s document with its rf and mo as the scan numbered
+    them: `src` in `number_rf`'s form and (orders, rank) in `number_mo`'s.
+    Without rf lines src is all -1, and without mo lines orders is empty.
+
+    The first rf or mo line maps each event's canonical token
+    `<tid>:<idx>` to its number; a token outside that table goes through
+    `_resolve`.  So an event id is parsed only when it is not canonical.
     """
     threads: list[tuple[str, list[Event]]] = []
     seen_threads: set[str] = set()
     valid: set[str] = set()  # names that passed the identifier check
     values: dict[str, int] = {}  # each distinct value token, parsed
-    ids: dict[str, EventId] = {}  # each distinct rf/mo event-id token, parsed
     current: list[Event] | None = None
     graph: PartialExecutionGraph | None = None  # built at the first rf or mo line
     mapping: dict[EventId, EventId] = {}
-    per_var: dict[str, list[EventId]] = {}
+    orders: dict[str, list[int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
@@ -134,70 +159,79 @@ def parse_trace(text: str) -> TraceDocument:
                 raise ParseError(lineno, error)
             current = []
             threads.append((tid, current))
-        elif keyword == "rf":
-            if len(tokens) != 3:
-                raise ParseError(lineno, "expected: rf <writer> <reader>")
+        elif keyword == "rf" or keyword == "mo":
             if graph is None:
                 graph = PartialExecutionGraph(threads)
                 num = graph.numbering
-                events, index = num.events, num.index
-            for token in tokens[1:]:
-                if token not in ids:
-                    ids[token] = _parse_event_id(token, lineno)
-            _, wtoken, rtoken = tokens
-            wid, rid = ids[wtoken], ids[rtoken]
-            w, r = index.get(wid), index.get(rid)
-            if w is None:
-                raise ParseError(lineno, f"unknown event {wid}")
-            if r is None:
-                raise ParseError(lineno, f"unknown event {rid}")
-            _, wop, wvar, wval = events[w]
-            _, rop, rvar, rval = events[r]
-            if wop != WRITE:
-                raise ParseError(lineno, f"rf source {wid} is not a write")
-            if rop != READ:
-                raise ParseError(lineno, f"rf target {rid} is not a read")
-            if wvar != rvar or wval != rval:
-                raise ParseError(lineno, f"rf edge {wid} -> {rid} mismatches location or value")
-            if rid in mapping:
-                raise ParseError(lineno, f"read {rid} has two writers")
-            mapping[rid] = wid
-        elif keyword == "mo":
-            if len(tokens) < 3:
-                raise ParseError(lineno, "expected: mo <var> <write>+")
-            if graph is None:
-                graph = PartialExecutionGraph(threads)
-                num = graph.numbering
-                events, index = num.events, num.index
-            var, tokens = tokens[1], tokens[2:]
-            for token in tokens:
-                if token not in ids:
-                    ids[token] = _parse_event_id(token, lineno)
-            if var in per_var:
-                raise ParseError(lineno, f"duplicate mo line for {var!r}")
-            writes = set(num.var_writes.get(var, ()))
-            eids = [ids[token] for token in tokens]
-            order = [index.get(eid) for eid in eids]
-            for eid, w in zip(eids, order):
+                events, ids, write_mask = num.events, num.ids, num.write_mask
+                table = {f"{thread}:{index}": i for i, (thread, index) in enumerate(ids)}
+                number = table.get
+                src = [-1] * len(ids)
+            if keyword == "rf":
+                if len(tokens) != 3:
+                    raise ParseError(lineno, "expected: rf <writer> <reader>")
+                _, wtoken, rtoken = tokens
+                w = number(wtoken)
                 if w is None:
-                    raise ParseError(lineno, f"unknown event {eid}")
-                if w not in writes:
-                    raise ParseError(lineno, f"{eid} is not a write to {var!r}")
-            placed = set(order)
-            if len(placed) != len(order):
-                raise ParseError(lineno, f"mo for {var!r} lists a write twice")
-            if placed != writes:
-                raise ParseError(lineno, f"mo for {var!r} omits a write")
-            per_var[var] = eids
+                    w = _resolve(wtoken, lineno, table)
+                r = number(rtoken)
+                if r is None:
+                    r = _resolve(rtoken, lineno, table)
+                if w < 0:
+                    raise ParseError(lineno, f"unknown event {_parse_event_id(wtoken, lineno)}")
+                if r < 0:
+                    raise ParseError(lineno, f"unknown event {_parse_event_id(rtoken, lineno)}")
+                wid, wop, wvar, wval = events[w]
+                rid, rop, rvar, rval = events[r]
+                if wop != WRITE:
+                    raise ParseError(lineno, f"rf source {wid} is not a write")
+                if rop != READ:
+                    raise ParseError(lineno, f"rf target {rid} is not a read")
+                if wvar != rvar or wval != rval:
+                    raise ParseError(lineno, f"rf edge {wid} -> {rid} mismatches location or value")
+                if src[r] >= 0:
+                    raise ParseError(lineno, f"read {rid} has two writers")
+                src[r] = w
+                mapping[rid] = wid
+            else:
+                if len(tokens) < 3:
+                    raise ParseError(lineno, "expected: mo <var> <write>+")
+                var, tokens = tokens[1], tokens[2:]
+                order = [number(token) for token in tokens]
+                if None in order:
+                    order = [
+                        _resolve(token, lineno, table) if w is None else w
+                        for token, w in zip(tokens, order)
+                    ]
+                if var in orders:
+                    raise ParseError(lineno, f"duplicate mo line for {var!r}")
+                writes, placed = write_mask.get(var, 0), 0
+                for token, w in zip(tokens, order):
+                    if w < 0:
+                        raise ParseError(lineno, f"unknown event {_parse_event_id(token, lineno)}")
+                    bit = 1 << w
+                    if not writes & bit:
+                        raise ParseError(lineno, f"{ids[w]} is not a write to {var!r}")
+                    placed |= bit
+                if placed.bit_count() != len(order):
+                    raise ParseError(lineno, f"mo for {var!r} lists a write twice")
+                if placed != writes:
+                    raise ParseError(lineno, f"mo for {var!r} omits a write")
+                orders[var] = order
         else:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
 
     if graph is None:
         graph = PartialExecutionGraph(threads)
+        src = [-1] * graph.num_events
+    rank = [-1] * graph.num_events
+    for order in orders.values():
+        for i, w in enumerate(order):
+            rank[w] = i
     # each rf or mo line adds an entry, so an empty map means no such line
     rf = ReadsFrom(mapping) if mapping else None
-    mo = ModificationOrder(per_var) if per_var else None
-    return TraceDocument(graph, rf, mo)
+    mo = {var: [ids[w] for w in order] for var, order in orders.items()}
+    return TraceDocument(graph, rf, ModificationOrder(mo) if mo else None), src, (orders, rank)
 
 
 def serialize_trace(doc: TraceDocument) -> str:

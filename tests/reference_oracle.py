@@ -217,7 +217,8 @@ class ChronologicalSearch(_Search):
                 self.assignment[r] = w
                 self.assigned_reads.append((r, w, var_mask))
                 if self.prune_relaxed:
-                    self._forces_mo_cycle(r, w, var_mask)
+                    pairs = [(q, wq) for q, wq, qmask in self.assigned_reads if qmask == var_mask]
+                    self._forces_mo_cycle(r, w, var_mask, pairs)
                 added: list[tuple[EventId, EventId]] = []
                 ok = True
                 if self.prune_porf and enc.reach[r] & (1 << r):

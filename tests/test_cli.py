@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from racheck import axioms, cli, solve, verify
 from racheck.cli import build_parser, main
-from racheck.model import MemoryModel
+from racheck.model import MemoryModel, ReadsFrom
 from racheck.traceio import parse_trace, serialize_trace, TraceDocument
 
 import fixtures as fx
@@ -175,6 +177,84 @@ def test_verify_checks_each_axiom_once(workdir, capsys, monkeypatch):
     assert lines[:2] == ["porf-acyclicity: pass", "weak-read-coherence: FAIL"]
     assert lines[2].startswith("ob-acyclicity: ")
     assert lines[3] == "INCONSISTENT weak-read-coherence"
+
+
+def test_verify_numbers_its_witnesses_once(workdir, capsys, monkeypatch):
+    # the parse validates and numbers rf and mo, and `racheck verify` hands
+    # its numbers to the axiom checks: nothing numbers or checks them again
+    calls = []
+
+    def counting(name, f):
+        def counted(*args):
+            calls.append(name)
+            return f(*args)
+
+        return counted
+
+    for name in ("number_rf", "number_mo"):
+        f = getattr(sys.modules["racheck.model"], name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("racheck")]:
+            if getattr(module, name, None) is f:
+                monkeypatch.setattr(module, name, counting(name, f))
+    monkeypatch.setattr(
+        ReadsFrom, "_check_domain", counting("_check_domain", ReadsFrom._check_domain)
+    )
+    g = fx.single_writer_consistent()
+    verdict, _ = solve(g, MemoryModel.SRA)
+    doc = TraceDocument(g, verdict.rf, verdict.mo)
+    assert doc.rf is not None and doc.mo is not None
+    path = workdir / "witness.trace"
+    path.write_text(serialize_trace(doc))
+    for model in ("sra", "ra", "wra", "rlx", "rlx-acyclic", "cm"):
+        assert main(["verify", "--model", model, "--input", str(path)]) == 0
+    assert calls == []
+    # the counters count: the public verify numbers its witnesses itself
+    assert verify(g, doc.rf, doc.mo, MemoryModel.RA).is_consistent
+    assert calls == ["_check_domain", "number_rf", "number_mo"]
+
+
+VERIFY_BASE = """thread t1
+w x 1
+w x 2
+r y 1
+thread t2
+w y 1
+r x 1
+r x 2
+"""
+VERIFY_RF = ["rf t1:0 t2:1", "rf t1:1 t2:2", "rf t2:0 t1:2"]
+VERIFY_MO = ["mo x t1:0 t1:1", "mo y t2:0"]
+VERIFY_CASES = {
+    "as given": VERIFY_RF + VERIFY_MO,
+    "non-canonical ids": [
+        "rf t1:00 t2:+1", "rf t1:+1 t2:02", *VERIFY_RF[2:], "mo x t1:00 t1:+1", "mo y t2:+0"
+    ],
+    "unknown index": ["rf t1:9 t2:1", *VERIFY_RF[1:], *VERIFY_MO],
+    "negative index": ["rf t1:-1 t2:1", *VERIFY_RF[1:], *VERIFY_MO],
+    "20-digit index": ["rf t1:99999999999999999999 t2:1", *VERIFY_RF[1:], *VERIFY_MO],
+    "malformed id": ["rf t1 t2:1", *VERIFY_RF[1:], *VERIFY_MO],
+    "read without rf": VERIFY_RF[:2] + VERIFY_MO,
+    "location without mo": VERIFY_RF + VERIFY_MO[:1],
+    "no mo": VERIFY_RF,
+    "write listed twice": VERIFY_RF + ["mo x t1:0 t1:00", VERIFY_MO[1]],
+    "mo against po": VERIFY_RF + ["mo x t1:1 t1:0", VERIFY_MO[1]],
+}
+
+
+@pytest.mark.parametrize("model", ["ra", "wra"])
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verify_matches_the_public_verify(tmp_path, capsys, monkeypatch, model, case):
+    # exit code, stdout and stderr are those of the public verify on
+    # parse_trace's document
+    path = tmp_path / "in.trace"
+    path.write_text(VERIFY_BASE + "\n".join(VERIFY_CASES[case]) + "\n")
+    argv = ["verify", "--model", model, "--input", str(path)]
+    got = main(argv), *capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse", lambda text: (parse_trace(text), None, None))
+    monkeypatch.setattr(
+        cli, "_verify", lambda g, rf, mo, _src, _mo, m, report: verify(g, rf, mo, m, report)
+    )
+    assert got == (main(argv), *capsys.readouterr())
 
 
 def test_verify_mo_cycle_fixture_models_differ(workdir, capsys):

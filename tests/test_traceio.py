@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +25,18 @@ from racheck import (
     solve,
 )
 from racheck.harness import FuzzParams
-from racheck.model import MemoryModel, ModelError, ModificationOrder, ReadsFrom
+from racheck.model import (
+    MemoryModel,
+    ModelError,
+    ModificationOrder,
+    ReadsFrom,
+    number_mo,
+    number_rf,
+)
 from racheck.traceio import (
     ParseError,
     TraceDocument,
+    _parse,
     parse_dimacs,
     parse_edgelist,
     parse_trace,
@@ -37,6 +47,10 @@ from racheck.traceio import (
 
 import fixtures as fx
 import reference_traceio
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import gen  # noqa: E402  the benchmark's execution generator
 
 E = EventId
 
@@ -377,7 +391,18 @@ def _mutate(lines: list[str], kind: int, rng: random.Random) -> list[str]:
     elif kind == 10 and len(lines) > 1:  # swap two lines
         a, b = rng.sample(range(len(lines)), 2)
         lines[a], lines[b] = lines[b], lines[a]
+    elif kind == 11:  # event ids written out of canonical form
+        lines = [" ".join(_noncanonical(t, rng) for t in line.split()) for line in lines]
     return lines
+
+
+def _noncanonical(token: str, rng: random.Random) -> str:
+    """An event-id token, at random, in another spelling of the same id;
+    other tokens as they are."""
+    thread, sep, index = token.rpartition(":")
+    if not sep or not index.isdigit() or rng.random() < 0.5:
+        return token
+    return f"{thread}:{rng.choice(['0', '+', '+0', '00'])}{index}"
 
 
 def _outcome(parse, text):
@@ -388,7 +413,7 @@ def _outcome(parse, text):
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(documents(), st.lists(st.integers(0, 10), max_size=3), st.randoms(use_true_random=True))
+@given(documents(), st.lists(st.integers(0, 11), max_size=3), st.randoms(use_true_random=True))
 def test_parse_trace_matches_reference(doc, mutations, rng):
     lines = reference_traceio.serialize_trace(doc).splitlines()
     for kind in mutations:
@@ -427,7 +452,7 @@ def test_mutated_traces_parse_as_the_reference():
         rng = random.Random(seed)
         lines = reference_traceio.serialize_trace(_random_document(rng)).splitlines()
         for _ in range(rng.randint(1, 2)):
-            lines = _mutate(lines, rng.choice([*range(11), 6, 6, 6, 8]), rng)
+            lines = _mutate(lines, rng.choice([*range(12), 6, 6, 6, 8]), rng)
         _check_against_reference("\n".join(lines) + "\n")
 
 
@@ -447,6 +472,44 @@ def test_parse_error_order():
     for text, error in cases:
         assert _outcome(parse_trace, text)[1] == error
         assert _first_error(text) == error
+
+
+# The parse numbers rf and mo as it reads them, once
+# ---------------------------------------------------------------------------
+
+
+def _check_numbering(text: str) -> None:
+    """`_parse` gives `parse_trace`'s document, and its rf and mo numbered
+    as `number_rf` and `number_mo` number them."""
+    doc, src, numbered_mo = _parse(text)
+    assert doc == parse_trace(text)
+    g = doc.graph
+    assert src == number_rf(g, doc.rf or ReadsFrom({}))
+    assert numbered_mo == number_mo(g, doc.mo or ModificationOrder({}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 80),
+    st.integers(0, 2**32 - 1),
+)
+def test_parse_numbers_generator_witnesses(seed, writers, events, mutation_seed):
+    # the benchmark's `verify-annotated` inputs: witnesses of the generator
+    # and their stale-rf and mo-swap mutations
+    params = gen.GenParams(seed, 4, 6, events, 3, writers, recent=2 if writers == 1 else 1)
+    ex = gen.generate(params)
+    for variant in (ex, gen.stale_rf(ex, mutation_seed), gen.mo_swap(ex, mutation_seed)):
+        if variant is not None:
+            _check_numbering(gen.render(variant, True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(documents(), st.randoms(use_true_random=False))
+def test_parse_numbers_partial_and_noncanonical_witnesses(doc, rng):
+    lines = serialize_trace(doc).splitlines()
+    _check_numbering("\n".join(_mutate(lines, 11, rng)) + "\n")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
