@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .axioms import MissingMo, _verify
 from .harness import FuzzParams, InvalidParams, differential_run
 from .model import MemoryModel, ModelError, ModificationOrder, ReadsFrom, Verdict, max_writers
-from .oracle import DEFAULT_LIMITS, BudgetExceeded, all_consistent_rfs, oracle_consistent
+from .oracle import DEFAULT_LIMITS, BudgetExceeded, _consistent_rfs, _decide, oracle_consistent
 from .reductions import (
     NotThreeCnf,
     SelfLoop,
@@ -126,14 +125,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     model = MemoryModel(args.model)
     doc = parse_trace(_read_input(args.input))
-    limits = DEFAULT_LIMITS
-    if args.max_events is not None:
-        limits = replace(limits, max_events=args.max_events)
-    verdict = oracle_consistent(doc.graph, model, limits)
+    # one search gives the verdict and, resumed after its witness, every rf
+    verdict, rest = _decide(doc.graph, model, DEFAULT_LIMITS)
     _print_verdict(verdict)
     if args.all_rf:
-        # an inconsistent verdict has exhausted the search: no rf is left
-        rfs = all_consistent_rfs(doc.graph, model, limits) if verdict.is_consistent else []
+        rfs = _consistent_rfs(verdict, rest)
         print(f"consistent rf count: {len(rfs)}")
         for rf in rfs:
             pairs = " ".join(f"{rid}<-{wid}" for rid, wid in rf.items())
@@ -223,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=MODEL_CHOICES)
     p.add_argument("--input", required=True)
     p.add_argument("--all-rf", action="store_true", dest="all_rf")
-    p.add_argument("--max-events", type=_count, dest="max_events")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("reduce", help="generate hardness gadgets")

@@ -332,8 +332,9 @@ class ReadsFrom:
         """Raise InvalidRf unless this relation maps exactly the reads."""
         given, expected = set(self.mapping), {r.id for r in g.reads}
         if given != expected:
-            missing, extra = sorted(expected - given), sorted(given - expected)
-            raise InvalidRf(f"rf domain mismatch: missing={missing} extra={extra}")
+            missing = ", ".join(map(str, sorted(expected - given)))
+            extra = ", ".join(map(str, sorted(given - expected)))
+            raise InvalidRf(f"rf domain mismatch: missing=[{missing}] extra=[{extra}]")
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.mapping.items())))

@@ -52,7 +52,8 @@ search order; a failed leaf, and a leaf that the caller resumes after it
 was yielded, blame every depth.  So only subtrees without leaves are
 skipped: the search reaches the same leaves in the same order as a
 chronological one.  `oracle_consistent` takes the first leaf as its
-witness and `all_consistent_rfs` the rf of every leaf.
+witness and `all_consistent_rfs` the rf of every leaf; `_decide` runs
+the one search that gives both, for a caller that asks for the two.
 
 The sets that reads return recur across branches, so the search stores
 them (nogood recording):
@@ -84,11 +85,11 @@ At a leaf rf is fixed, and every mo axiom then only forces some write of
 a location before another, so `_first_mo` builds the lexicographically
 first valid mo as a topological sort in polynomial time.
 
-Budgets (`OracleLimits`): `max_events` bounds the input and is checked
-before anything else is built, rf-totality next (`_gate`);
-`max_rf_candidates` counts the candidates tried (search nodes,
-`_Search.rf_nodes`).  Exceeding either raises `BudgetExceeded`.  mo
-synthesis needs no budget.
+Budgets: the input may have at most `_MAX_EVENTS` events, a fixed gate
+checked before anything else is built, rf-totality next (`_gate`).  The
+one option, `OracleLimits.max_rf_candidates`, counts the candidates
+tried (search nodes, `_Search.rf_nodes`).  Exceeding either raises
+`BudgetExceeded`.  mo synthesis needs no budget.
 
 Happens-before and the relaxed forced order are maintained incrementally
 as per-event reachability bitmasks over the graph's shared numbering,
@@ -122,6 +123,16 @@ _Leaf = tuple[ReadsFrom, ModificationOrder | None]  # an accepted leaf: rf, its 
 
 _MAX_STORED_READS = 8  # the largest conflict set the search stores, in reads
 
+# The largest input the oracle searches, in events.  `_Search._descend`
+# takes one frame per read, so a deeper search meets the interpreter's
+# recursion limit (1,000 frames by default): a consistent 1,102-event
+# input would fail with a RecursionError.  And memory grows roughly with
+# depth x n^2, as every depth keeps a snapshot of the reachability masks:
+# one full-depth descent peaks near 25 MB at 512 events, 70 MB at 1,000
+# and 2.6 GB at 4,000.  768 stays below both and above the hardness
+# gadgets of a few hundred events.
+_MAX_EVENTS = 768
+
 
 class BudgetExceeded(Exception):
     def __init__(self, limit: str, value: int):
@@ -131,13 +142,12 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class OracleLimits:
-    """Search ceilings; exceeding either raises `BudgetExceeded`, never
-    truncates.  `max_events` bounds the input, `max_rf_candidates` the
-    search nodes (candidates tried).  mo synthesis is polynomial and has
-    no ceiling.
+    """The search's ceiling: `max_rf_candidates` bounds the search nodes
+    (candidates tried), and exceeding it raises `BudgetExceeded`, never
+    truncates.  The input size is a fixed gate (`_MAX_EVENTS`), not an
+    option.  mo synthesis is polynomial and has no ceiling.
     """
 
-    max_events: int = 128
     max_rf_candidates: int = 1_000_000
 
 
@@ -177,12 +187,12 @@ class _Encoding:
                 self.mo_coreach[w] = self.coreach[w] & mask
 
 
-def _gate(g: PartialExecutionGraph, limits: OracleLimits) -> EventId | None:
-    """The gates both entry points answer before any search setup:
-    `max_events` first, before the numbering's candidate table is built,
-    then rf-totality (`Numbering.unmatched_read`)."""
-    if g.num_events > limits.max_events:
-        raise BudgetExceeded("max_events", limits.max_events)
+def _gate(g: PartialExecutionGraph) -> EventId | None:
+    """The gates answered before any search setup: `_MAX_EVENTS` first,
+    before the numbering's candidate table is built, then rf-totality
+    (`Numbering.unmatched_read`)."""
+    if g.num_events > _MAX_EVENTS:
+        raise BudgetExceeded("max_events", _MAX_EVENTS)
     return g.numbering.unmatched_read()
 
 
@@ -502,6 +512,29 @@ def _first_mo(
     return ModificationOrder(per_var)
 
 
+def _decide(
+    g: PartialExecutionGraph, m: MemoryModel, limits: OracleLimits
+) -> tuple[Verdict, Iterator[_Leaf]]:
+    """The verdict of `oracle_consistent`, and its search, to resume for
+    the leaves after the witness (empty unless the verdict is consistent)."""
+    blocked = _gate(g)
+    if blocked is not None:
+        return Verdict.inconsistent(RF_TOTALITY, [(blocked, RF_INV_EDGE)]), iter(())
+    leaves = _Search(g, m, limits).leaves()
+    witness = next(leaves, None)
+    if witness is None:
+        return Verdict.inconsistent(EXHAUSTED, None), leaves
+    return Verdict.consistent(*witness), leaves
+
+
+def _consistent_rfs(verdict: Verdict, rest: Iterator[_Leaf]) -> list[ReadsFrom]:
+    """The rf of every leaf of a `_decide` result, canonically sorted."""
+    if not verdict.is_consistent:
+        return []
+    rfs = [verdict.rf, *(rf for rf, _ in rest)]
+    return sorted(rfs, key=lambda rf: tuple(sorted(rf.mapping.items())))
+
+
 def oracle_consistent(
     g: PartialExecutionGraph,
     m: MemoryModel,
@@ -515,13 +548,7 @@ def oracle_consistent(
     except for a read with no matching write anywhere, which is reported
     directly.
     """
-    blocked = _gate(g, limits)
-    if blocked is not None:
-        return Verdict.inconsistent(RF_TOTALITY, [(blocked, RF_INV_EDGE)])
-    witness = next(_Search(g, m, limits).leaves(), None)
-    if witness is None:
-        return Verdict.inconsistent(EXHAUSTED, None)
-    return Verdict.consistent(*witness)
+    return _decide(g, m, limits)[0]
 
 
 def all_consistent_rfs(
@@ -530,7 +557,4 @@ def all_consistent_rfs(
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> list[ReadsFrom]:
     """Every rf for which some mo satisfies the model, canonically sorted."""
-    if _gate(g, limits) is not None:
-        return []
-    rfs = [rf for rf, _ in _Search(g, m, limits).leaves()]
-    return sorted(rfs, key=lambda rf: tuple(sorted(rf.mapping.items())))
+    return _consistent_rfs(*_decide(g, m, limits))

@@ -64,6 +64,7 @@ from racheck.model import (
     number_rf,
 )
 from racheck.oracle import (
+    _MAX_EVENTS,
     DEFAULT_LIMITS,
     BudgetExceeded,
     OracleLimits,
@@ -96,8 +97,8 @@ def enumerate_rfs(g: PartialExecutionGraph, limits: OracleLimits = DEFAULT_LIMIT
 
     Empty stream iff some read has no matching write.
     """
-    if g.num_events > limits.max_events:
-        raise BudgetExceeded("max_events", limits.max_events)
+    if g.num_events > _MAX_EVENTS:
+        raise BudgetExceeded("max_events", _MAX_EVENTS)
     cands = read_candidates(g)
     count = 0
     for combo in itertools.product(*(matches for _, matches in cands)):

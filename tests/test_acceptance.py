@@ -49,7 +49,7 @@ import fixtures as fx
 from reference_oracle import enumerate_mos, enumerate_rfs
 
 E = EventId
-SWEEP_LIMITS = OracleLimits(max_events=128, max_rf_candidates=5_000_000)
+SWEEP_LIMITS = OracleLimits(max_rf_candidates=5_000_000)
 SWEEP_MO_PERMUTATIONS = 1_000_000  # ceiling of the reference `enumerate_mos`
 RA_FAMILY = [MemoryModel.SRA, MemoryModel.RA, MemoryModel.WRA]
 

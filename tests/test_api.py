@@ -82,7 +82,7 @@ def test_public_names():
 
 def test_oracle_limits_fields():
     fields = [f.name for f in dataclasses.fields(racheck.OracleLimits)]
-    assert fields == ["max_events", "max_rf_candidates"]
+    assert fields == ["max_rf_candidates"]
 
 
 def test_solve_parameters():

@@ -239,7 +239,7 @@ def test_invalid_rf_edges_are_rejected_at_entry():
                 call()
             assert str(err.value) == message
         if target != read:
-            message = f"rf domain mismatch: missing={[read]} extra={[target]}"
+            message = f"rf domain mismatch: missing=[{read}] extra=[{target}]"
         with pytest.raises(InvalidRf) as err:
             verify(g, rf, mo, MemoryModel.SRA)
         assert str(err.value) == message

@@ -1,19 +1,38 @@
 from __future__ import annotations
 
+import argparse
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
-from racheck import axioms, cli, solve, verify
+from racheck import axioms, build_graph, cli, oracle, solve, verify
 from racheck.cli import build_parser, main
 from racheck.model import MemoryModel, ReadsFrom
 from racheck.traceio import parse_trace, serialize_trace, TraceDocument
 
 import fixtures as fx
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import gen  # noqa: E402  the benchmark's formula generator
+
 FIG2 = serialize_trace(TraceDocument(fx.single_writer_consistent()))
 FIG3 = serialize_trace(TraceDocument(fx.single_writer_porf_cyclic()))
 K3_EDGES = "3\n1 2\n2 3\n1 3\n"
+
+
+def _gate_trace(num_events: int) -> str:
+    """A consistent two-writer trace of `num_events` events: `w x 1`, a
+    thread of `r x 1` reads, and `w x 2`.  Every read has one candidate,
+    so the oracle's search descends one level per read."""
+    reads = [("r", "x", 1)] * (num_events - 2)
+    threads = [("t0", [("w", "x", 1)]), ("t1", reads), ("t2", [("w", "x", 2)])]
+    return serialize_trace(TraceDocument(build_graph(threads)))
+
+
+OVER_GATE = _gate_trace(oracle._MAX_EVENTS + 1)
 
 
 @pytest.fixture
@@ -22,6 +41,7 @@ def workdir(tmp_path):
     (tmp_path / "fig3.trace").write_text(FIG3)
     (tmp_path / "phi.cnf").write_text(fx.TWO_CLAUSE_DIMACS)
     (tmp_path / "k3.edges").write_text(K3_EDGES)
+    (tmp_path / "over-gate.trace").write_text(OVER_GATE)
     return tmp_path
 
 
@@ -83,7 +103,8 @@ def test_parser_is_shared_and_options_do_not_leak(workdir, capsys):
     capsys.readouterr()
     assert main(["oracle", "--model", "wra", "--input", fig2, "--all-rf"]) == 0
     assert "consistent rf count: 1" in capsys.readouterr().out
-    assert main(["oracle", "--model", "wra", "--input", fig2, "--max-events", "3"]) == 3
+    over_gate = str(workdir / "over-gate.trace")
+    assert main(["oracle", "--model", "wra", "--input", over_gate]) == 3
     assert main(["oracle", "--model", "wra", "--input", fig2]) == 0
     assert "consistent rf count" not in capsys.readouterr().out
 
@@ -340,23 +361,91 @@ def test_oracle_all_rf(workdir, capsys):
     assert "t3:1<-t1:3" in out
 
 
+def _count_searches(monkeypatch) -> list:
+    """Patch the oracle to record each `_Search` it builds."""
+    built = []
+
+    class Counted(oracle._Search):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(oracle, "_Search", Counted)
+    return built
+
+
 def test_oracle_all_rf_skips_search_when_inconsistent(workdir, capsys, monkeypatch):
     # an inconsistent verdict has exhausted the search, so no second one runs
-    calls = []
-    monkeypatch.setattr(cli, "all_consistent_rfs", lambda *args: calls.append(args) or [])
+    built = _count_searches(monkeypatch)
     code = main(["oracle", "--model", "wra", "--input", str(workdir / "fig3.trace"), "--all-rf"])
     out = capsys.readouterr().out
     assert code == 1
-    assert calls == []
+    assert len(built) == 1
     assert out.startswith("INCONSISTENT ")
     assert out.endswith("consistent rf count: 0\n")
 
 
-def test_oracle_budget_exit(workdir, capsys):
-    code = main(
-        ["oracle", "--model", "wra", "--input", str(workdir / "fig2.trace"), "--max-events", "3"]
+def test_oracle_all_rf_runs_one_search(tmp_path, capsys, monkeypatch):
+    # the verdict's witness and every rf come from one search, in its order
+    g = build_graph(
+        [
+            ("t1", [("w", "x", 1), ("r", "x", 2), ("w", "y", 1)]),
+            ("t2", [("w", "x", 2), ("r", "x", 1), ("r", "y", 1)]),
+            ("t3", [("w", "x", 1), ("r", "x", 1)]),
+        ]
     )
+    trace = tmp_path / "in.trace"
+    trace.write_text(serialize_trace(TraceDocument(g)))
+    built = _count_searches(monkeypatch)
+    assert main(["oracle", "--model", "wra", "--input", str(trace), "--all-rf"]) == 0
+    assert len(built) == 1
+    rfs = oracle.all_consistent_rfs(g, MemoryModel.WRA)
+    assert len(rfs) > 1
+    expected = [f"consistent rf count: {len(rfs)}"]
+    expected += ["rf: " + " ".join(f"{r}<-{w}" for r, w in rf.items()) for rf in rfs]
+    assert capsys.readouterr().out.splitlines() == ["CONSISTENT", *expected]
+
+
+def test_oracle_budget_exit(workdir, capsys):
+    code = main(["oracle", "--model", "wra", "--input", str(workdir / "over-gate.trace")])
     assert code == 3
+    assert "max_events" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["sra", "ra", "wra", "rlx", "rlx-acyclic", "cm"])
+def test_check_decides_at_the_gate(tmp_path, capsys, model):
+    # two writers route `check` to the oracle, whose search takes one
+    # frame per read: the gate leaves room for it within pytest's stack
+    trace = tmp_path / "gate.trace"
+    trace.write_text(_gate_trace(oracle._MAX_EVENTS))
+    assert main(["check", "--model", model, "--input", str(trace)]) == 0
+    captured = capsys.readouterr()
+    assert "falling back to exponential search" in captured.err
+    assert captured.out == "CONSISTENT\n"
+    trace.write_text(_gate_trace(oracle._MAX_EVENTS + 1))
+    assert main(["check", "--model", model, "--input", str(trace)]) == 3
+    assert "max_events" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["cnf3w", "cnf2w"])
+@pytest.mark.parametrize("num_vars, num_clauses, sat", [(7, 21, True), (6, 36, False)])
+def test_check_decides_gadgets_over_128_events(tmp_path, capsys, kind, num_vars, num_clauses, sat):
+    clauses = gen.random_formula(random.Random(7), num_vars, num_clauses)
+    assert gen.satisfiable(num_vars, clauses) is sat
+    phi, gadget, witness = tmp_path / "phi.cnf", tmp_path / "gadget.trace", tmp_path / "w.trace"
+    phi.write_text(gen.dimacs(num_vars, clauses))
+    assert main(["reduce", kind, "--input", str(phi), "--output", str(gadget)]) == 0
+    assert parse_trace(gadget.read_text()).graph.num_events > 128
+    argv = ["check", "--model", "ra", "--input", str(gadget), "--witness", str(witness)]
+    if sat:
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["verify", "--model", "ra", "--input", str(witness)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "CONSISTENT"
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().out == "INCONSISTENT exhausted\n"
+        assert not witness.exists()
 
 
 def test_oracle_on_gadget(workdir, capsys):
@@ -431,14 +520,13 @@ def test_write_free_witness_round_trip(tmp_path, capsys, model, text):
     assert capsys.readouterr().out.splitlines()[-1] == "CONSISTENT"
 
 
-def test_max_events_must_not_be_negative(workdir, capsys):
+def test_max_events_is_not_an_option(workdir, capsys):
+    # the oracle's input gate is fixed: the flag is a usage error
     fig2 = ["oracle", "--model", "wra", "--input", str(workdir / "fig2.trace")]
-    assert main(fig2 + ["--max-events", "-1"]) == 2
-    assert "argument --max-events: -1 is negative" in capsys.readouterr().err
-    assert main(fig2 + ["--max-events", "x"]) == 2
-    assert "argument --max-events: invalid int value: 'x'" in capsys.readouterr().err
-    assert main(fig2 + ["--max-events", "0"]) == 3
-    assert "max_events" in capsys.readouterr().err
+    for value in ("5000", "0"):
+        assert main(fig2 + ["--max-events", value]) == 2
+        assert f"unrecognized arguments: --max-events {value}" in capsys.readouterr().err
+    assert "--max-events" not in build_parser.__wrapped__().format_help()
 
 
 @pytest.mark.parametrize("flag, value", [("--cases", "-1"), ("--events", "-5")])
@@ -448,3 +536,22 @@ def test_fuzz_counts_must_not_be_negative(workdir, capsys, flag, value):
     err = capsys.readouterr().err
     assert f"error: argument {flag}: {value} is negative" in err
     assert not (workdir / "f").exists()
+
+
+def test_readme_usage_matches_the_parser():
+    # every --flag on a `racheck <command>` line of the README's CLI block
+    # is an option of that subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    subcommands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    usages = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    usages = [words for words in usages if words[:1] == ["racheck"]]
+    assert {words[1] for words in usages} == set(subcommands)
+    for words in usages:
+        options = {s for action in subcommands[words[1]]._actions for s in action.option_strings}
+        flags = {word.strip("[]") for word in words if word.strip("[]").startswith("--")}
+        assert flags <= options, (words[1], flags - options)

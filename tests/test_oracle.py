@@ -156,11 +156,12 @@ def test_all_consistent_rfs_cyclic_fixture_empty():
 
 
 # t2 is listed first; each thread has a read that no write matches
-def _unmatched_reads():
+def _unmatched_reads(extra=()):
     return build_graph(
         [
             ("t2", [("w", "x", 1), ("r", "y", 7)]),
             ("t1", [("r", "x", 5), ("w", "y", 1)]),
+            *extra,
         ]
     )
 
@@ -186,11 +187,12 @@ def test_rf_totality_names_first_unmatched_read_in_id_order(monkeypatch):
 
 def test_max_events_is_checked_first():
     # before the rf-totality answer, and before the candidate table is built
-    limits = OracleLimits(max_events=UNMATCHED_READS.num_events - 1)
+    pad = [("t3", [("w", "z", 0)] * (oracle._MAX_EVENTS + 1 - UNMATCHED_READS.num_events))]
     for entry in (oracle_consistent, all_consistent_rfs):
-        g = _unmatched_reads()
+        g = _unmatched_reads(pad)
+        assert g.num_events == oracle._MAX_EVENTS + 1
         with pytest.raises(BudgetExceeded) as exc:
-            entry(g, MemoryModel.WRA, limits)
+            entry(g, MemoryModel.WRA)
         assert exc.value.limit == "max_events", entry.__name__
         assert "matches" not in g.numbering.__dict__, entry.__name__
 
@@ -246,7 +248,7 @@ def test_candidate_table_matches_brute_force():
             assert all((num.events[w].var, num.events[w].val) == (var, val) for w in writes)
             assert all(num.events[w].is_write for w in writes)
         ranked = sorted(expected, key=lambda rc: (len(rc[1]), rc[0].id))
-        order = _Search(g, MemoryModel.WRA, OracleLimits(max_events=10**6)).order
+        order = _Search(g, MemoryModel.WRA, oracle.DEFAULT_LIMITS).order
         assert [(num.ids[r], [num.ids[w] for w in writes]) for r, writes in order] == [
             (r.id, writes) for r, writes in ranked
         ]
@@ -258,9 +260,13 @@ def test_candidate_table_matches_brute_force():
 
 
 def test_budget_max_events():
-    g = fx.single_writer_consistent()
-    with pytest.raises(BudgetExceeded):
-        oracle_consistent(g, MemoryModel.WRA, OracleLimits(max_events=3))
+    # a fixed gate: a consistent input one event over it is refused, not searched
+    gate = oracle._MAX_EVENTS
+    g = build_graph([("t1", [("w", "x", 1)] + [("r", "x", 1)] * gate)])
+    with pytest.raises(BudgetExceeded) as exc:
+        oracle_consistent(g, MemoryModel.WRA)
+    assert exc.value.limit == "max_events"
+    assert str(exc.value) == f"oracle budget exceeded: max_events > {gate}"
 
 
 def test_budget_rf_candidates():
